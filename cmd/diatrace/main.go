@@ -152,7 +152,7 @@ func attrSuffix(attrs []obs.Attr) string {
 	}
 	parts := make([]string, len(attrs))
 	for i, a := range attrs {
-		parts[i] = a.Key + "=" + a.Value
+		parts[i] = a.String()
 	}
 	return "  " + strings.Join(parts, " ")
 }

@@ -83,6 +83,11 @@ func (ev *Evaluator) Instance() *Instance { return ev.in }
 // Assignment returns a copy of the current assignment.
 func (ev *Evaluator) Assignment() Assignment { return ev.a.Clone() }
 
+// CopyAssignment copies the servers of clients from, from+1, ... into
+// dst and returns how many it copied: a slice of the assignment without
+// cloning all of it.
+func (ev *Evaluator) CopyAssignment(dst []int, from int) int { return copy(dst, ev.a[from:]) }
+
 // ServerOf returns the current server of a client (or Unassigned).
 func (ev *Evaluator) ServerOf(c int) int { return ev.a[c] }
 

@@ -11,6 +11,6 @@ func tamper(s *shard.Snapshot) {
 
 func buildOwn(n int) *shard.Snapshot {
 	s := &shard.Snapshot{}
-	s.Assignment = make([]int, n) // clean: mutating a fresh local build
+	s.Loads = make([]int, n) // clean: mutating a fresh local build
 	return s
 }

@@ -58,7 +58,7 @@ func TestTracedOpJournaledAtServers(t *testing.T) {
 		}
 		attrs := map[string]string{}
 		for _, at := range e.Attrs {
-			attrs[at.Key] = at.Value
+			attrs[at.Key] = at.Value()
 		}
 		if attrs["op"] != "2" || attrs["client"] != "0" {
 			t.Fatalf("journal attrs: %v, want op=2 client=0", e.Attrs)

@@ -2,26 +2,26 @@ package obs
 
 // Flight recorder: always-on, fixed-memory journals of recent control-
 // plane events — requests, admission transitions, failovers, epoch bumps,
-// hysteresis-suppressed moves — kept in lock-free ring buffers so the
+// hysteresis-suppressed moves — kept in preallocated ring buffers so the
 // last N events of each category survive to the moment something goes
 // wrong. The recorder is dumped automatically on admission-shed entry,
 // server kill, or SIGQUIT, and served at /debug/flight; events carry the
 // trace ID of the request that caused them, cross-linking into the span
 // ring.
 //
-// A Record call is one allocation plus two atomic increments and one
-// atomic pointer store: events are immutable once published, which is
-// what makes concurrent Snapshot (dump-under-load) race-free without a
-// lock on the hot path. Memory is bounded by capacity × journals.
+// A Record call allocates nothing (for up to four attrs): under the
+// recorder's one write mutex it bumps the global sequence and fills the
+// journal's next slot in place, so the lock and unlock are its only
+// atomic operations. A concurrent Snapshot (dump-under-load) holds that
+// mutex only while copying one journal's ring. Memory is bounded by
+// capacity × journals.
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -33,16 +33,20 @@ type FlightEvent struct {
 	Kind  string    `json:"kind"`
 	Trace string    `json:"trace,omitempty"`
 	Attrs []Attr    `json:"attrs,omitempty"`
+	// attrBuf backs Attrs for short lists inside a journal slot.
+	attrBuf [4]Attr
 }
 
 // Journal is one fixed-size event category ring. A nil *Journal is valid
 // and drops everything, so callers wire journals unconditionally.
 type Journal struct {
-	name  string
-	mask  uint64
-	head  atomic.Uint64
-	slots []atomic.Pointer[FlightEvent]
-	seq   *atomic.Uint64
+	name string
+	mask uint64
+	r    *Recorder
+
+	// Guarded by r.wmu.
+	n     uint64 // events recorded so far; slot n&mask is next
+	slots []FlightEvent
 }
 
 // Name returns the journal's category name ("" for nil).
@@ -53,37 +57,59 @@ func (j *Journal) Name() string {
 	return j.name
 }
 
-// Record publishes one event. Safe for any number of concurrent writers;
-// the oldest event is evicted when the ring is full.
+// Record publishes one event stamped now. Safe for any number of
+// concurrent writers; the oldest event is evicted when the ring is full.
 func (j *Journal) Record(kind, trace string, attrs ...Attr) {
 	if j == nil {
 		return
 	}
-	ev := &FlightEvent{
-		Seq:   j.seq.Add(1),
-		Wall:  time.Now(),
-		Kind:  kind,
-		Trace: trace,
-		Attrs: attrs,
+	j.RecordAt(time.Now(), kind, trace, attrs...)
+}
+
+// RecordAt is Record with the caller's wall-clock stamp, for a hot-path
+// caller that has just read the clock anyway and should not pay for a
+// second read.
+func (j *Journal) RecordAt(wall time.Time, kind, trace string, attrs ...Attr) {
+	if j == nil {
+		return
 	}
-	idx := j.head.Add(1) - 1
-	j.slots[idx&j.mask].Store(ev)
+	j.r.wmu.Lock()
+	j.r.seq++
+	ev := &j.slots[j.n&j.mask]
+	j.n++
+	ev.Seq, ev.Wall, ev.Kind, ev.Trace = j.r.seq, wall, kind, trace
+	// Copied, never retained: the caller's variadic array stays on its
+	// stack.
+	if len(attrs) > len(ev.attrBuf) {
+		ev.Attrs = append([]Attr(nil), attrs...)
+	} else {
+		ev.Attrs = append(ev.attrBuf[:0], attrs...)
+	}
+	j.r.wmu.Unlock()
 }
 
 // Snapshot returns the retained events, oldest first. It is safe to call
-// while writers are active: each slot read is an atomic pointer load of
-// an immutable event.
+// while writers are active: the ring is copied under the recorder's
+// write mutex, and each copy's short attr list is re-pointed away from
+// the ring, so later writes cannot reach it.
 func (j *Journal) Snapshot() []FlightEvent {
 	if j == nil {
 		return nil
 	}
-	out := make([]FlightEvent, 0, len(j.slots))
-	for i := range j.slots {
-		if ev := j.slots[i].Load(); ev != nil {
-			out = append(out, *ev)
-		}
+	j.r.wmu.Lock()
+	n := min(j.n, uint64(len(j.slots)))
+	out := make([]FlightEvent, n)
+	for i := range out {
+		out[i] = j.slots[(j.n-n+uint64(i))&j.mask]
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
+	j.r.wmu.Unlock()
+	for i := range out {
+		ev := &out[i]
+		if len(ev.Attrs) <= len(ev.attrBuf) {
+			ev.Attrs = append([]Attr(nil), ev.attrBuf[:len(ev.Attrs)]...)
+		}
+		ev.attrBuf = [4]Attr{}
+	}
 	return out
 }
 
@@ -91,7 +117,11 @@ func (j *Journal) Snapshot() []FlightEvent {
 // counter. A nil *Recorder is valid: Journal returns nil and dumps no-op.
 type Recorder struct {
 	defCap int
-	seq    atomic.Uint64
+
+	// wmu serializes every journal write and snapshot copy; seq is the
+	// recorder-global sequence it stamps.
+	wmu sync.Mutex
+	seq uint64
 
 	mu       sync.Mutex
 	journals map[string]*Journal
@@ -130,8 +160,8 @@ func (r *Recorder) Journal(name string, capacity int) *Journal {
 	j := &Journal{
 		name:  name,
 		mask:  uint64(c - 1),
-		slots: make([]atomic.Pointer[FlightEvent], c),
-		seq:   &r.seq,
+		r:     r,
+		slots: make([]FlightEvent, c),
 	}
 	r.journals[name] = j
 	r.order = append(r.order, name)

@@ -20,13 +20,29 @@ func TestJournalRecordAndSnapshot(t *testing.T) {
 		t.Fatalf("ring kept %d events, want 8", len(evs))
 	}
 	// Oldest first, and only the last 8 survive (i = 4..11).
-	if evs[0].Attrs[0].Value != "4" || evs[7].Attrs[0].Value != "11" {
+	if evs[0].Attrs[0].Value() != "4" || evs[7].Attrs[0].Value() != "11" {
 		t.Fatalf("window = %v .. %v", evs[0].Attrs, evs[7].Attrs)
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq <= evs[i-1].Seq {
 			t.Fatal("events not seq-ordered")
 		}
+	}
+}
+
+func TestJournalSnapshotOutlivesOverwrite(t *testing.T) {
+	j := NewRecorder(0).Journal("epoch", 2)
+	j.Record("short", "", Int("i", 1), Int("j", 2))
+	j.Record("long", "", Int("a", 1), Int("b", 2), Int("c", 3), Int("d", 4), Int("e", 5))
+	evs := j.Snapshot()
+	for i := 0; i < 4; i++ {
+		j.Record("later", "", Int("i", 9), Int("j", 9), Int("k", 9), Int("l", 9), Int("m", 9))
+	}
+	if got := evs[0].Attrs[0].String() + " " + evs[0].Attrs[1].String(); got != "i=1 j=2" {
+		t.Fatalf("short event attrs = %s after the ring wrapped", got)
+	}
+	if len(evs[1].Attrs) != 5 || evs[1].Attrs[4].String() != "e=5" {
+		t.Fatalf("long event attrs = %v after the ring wrapped", evs[1].Attrs)
 	}
 }
 

@@ -35,7 +35,11 @@ const TraceparentHeader = "traceparent"
 type TraceID [16]byte
 
 // String renders the ID as 32 lowercase hex characters.
-func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
+func (t TraceID) String() string {
+	var b [32]byte
+	hex.Encode(b[:], t[:])
+	return string(b[:])
+}
 
 // IsZero reports whether the ID is the invalid all-zero value.
 func (t TraceID) IsZero() bool { return t == TraceID{} }
@@ -45,7 +49,11 @@ func (t TraceID) IsZero() bool { return t == TraceID{} }
 type SpanID [8]byte
 
 // String renders the ID as 16 lowercase hex characters.
-func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
+func (s SpanID) String() string {
+	var b [16]byte
+	hex.Encode(b[:], s[:])
+	return string(b[:])
+}
 
 // IsZero reports whether the ID is the invalid all-zero value.
 func (s SpanID) IsZero() bool { return s == SpanID{} }
@@ -97,25 +105,75 @@ func ParseTraceparent(s string) (SpanContext, bool) {
 	return sc, true
 }
 
-// Attr is one typed key/value attribute on a span or flight event. Values
-// are rendered to strings at construction so records are immutable and
-// JSON-stable.
+// Attr is one typed key/value attribute on a span or flight event. An
+// attr is an immutable value: numbers are kept as bits and rendered only
+// when read (Value, JSON), so recording one on an always-on path — a
+// flight journal entry per published epoch — formats nothing. The JSON
+// form is {"key": k, "value": "<rendered value>"}.
 type Attr struct {
+	Key  string
+	kind attrKind
+	bits uint64
+	str  string
+}
+
+type attrKind uint8
+
+const (
+	attrStr attrKind = iota
+	attrInt
+	attrUint
+	attrF64
+)
+
+// Str builds a string attribute.
+func Str(key, value string) Attr { return Attr{Key: key, str: value} }
+
+// Int builds an integer attribute.
+func Int(key string, v int) Attr { return Attr{Key: key, kind: attrInt, bits: uint64(int64(v))} }
+
+// Uint builds an unsigned integer attribute.
+func Uint(key string, v uint64) Attr { return Attr{Key: key, kind: attrUint, bits: v} }
+
+// F64 builds a float attribute (shortest round-trip rendering).
+func F64(key string, v float64) Attr { return Attr{Key: key, kind: attrF64, bits: math.Float64bits(v)} }
+
+// Value renders the attribute's value.
+func (a Attr) Value() string {
+	switch a.kind {
+	case attrInt:
+		return strconv.FormatInt(int64(a.bits), 10)
+	case attrUint:
+		return strconv.FormatUint(a.bits, 10)
+	case attrF64:
+		return formatFloat(math.Float64frombits(a.bits))
+	}
+	return a.str
+}
+
+// String renders the attribute as key=value.
+func (a Attr) String() string { return a.Key + "=" + a.Value() }
+
+// attrJSON is Attr's wire form.
+type attrJSON struct {
 	Key   string `json:"key"`
 	Value string `json:"value"`
 }
 
-// Str builds a string attribute.
-func Str(key, value string) Attr { return Attr{Key: key, Value: value} }
+// MarshalJSON renders the attribute as {"key": ..., "value": ...}.
+func (a Attr) MarshalJSON() ([]byte, error) {
+	return json.Marshal(attrJSON{Key: a.Key, Value: a.Value()})
+}
 
-// Int builds an integer attribute.
-func Int(key string, v int) Attr { return Attr{Key: key, Value: strconv.Itoa(v)} }
-
-// Uint builds an unsigned integer attribute.
-func Uint(key string, v uint64) Attr { return Attr{Key: key, Value: strconv.FormatUint(v, 10)} }
-
-// F64 builds a float attribute (shortest round-trip rendering).
-func F64(key string, v float64) Attr { return Attr{Key: key, Value: formatFloat(v)} }
+// UnmarshalJSON reads the wire form back as a string attribute.
+func (a *Attr) UnmarshalJSON(b []byte) error {
+	var w attrJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*a = Str(w.Key, w.Value)
+	return nil
+}
 
 // SpanEvent is a point-in-time annotation inside a span, e.g. one
 // incremental-evaluator delta applied while a plane op held the lock.
@@ -139,19 +197,39 @@ type SpanRecord struct {
 	Events   []SpanEvent `json:"events,omitempty"`
 }
 
+// spanAttrCap is the number of attrs a span holds before its attr
+// list allocates; the plane's op spans carry up to six.
+const spanAttrCap = 6
+
 // Span is one in-flight timed operation. A nil *Span is the unsampled
 // case: every method no-ops, so instrumentation is unconditional.
+//
+// A sampled span is one allocation plus its context: the attr list
+// starts in attrBuf, event attrs are copied into one growing store,
+// the trace ID is rendered once per trace and shared with local
+// children, and End publishes the span's own embedded record.
 type Span struct {
 	t      *Tracer
 	name   string
 	sc     SpanContext
+	trace  string // sc.Trace in hex
 	parent SpanID
 	start  time.Time
 
-	mu     sync.Mutex
-	attrs  []Attr
-	events []SpanEvent
-	ended  bool
+	mu      sync.Mutex
+	attrs   []Attr
+	attrBuf [spanAttrCap]Attr
+	events  []SpanEvent
+	evAttrs []Attr // backs every event's Attrs
+	ended   bool
+	rec     SpanRecord
+}
+
+// newSpan builds a sampled span of trace (hex form traceHex).
+func newSpan(t *Tracer, name string, sc SpanContext, traceHex string, parent SpanID) *Span {
+	s := &Span{t: t, name: name, sc: sc, trace: traceHex, parent: parent, start: time.Now()}
+	s.attrs = s.attrBuf[:0]
+	return s
 }
 
 // Context returns the propagation context (zero for a nil span).
@@ -167,27 +245,39 @@ func (s *Span) TraceID() string {
 	if s == nil {
 		return ""
 	}
-	return s.sc.Trace.String()
+	return s.trace
 }
 
-// SetAttr appends attributes to the span.
+// SetAttr appends attributes to the span. Attrs set after End are
+// dropped.
 func (s *Span) SetAttr(attrs ...Attr) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.attrs = append(s.attrs, attrs...)
+	if !s.ended {
+		s.attrs = append(s.attrs, attrs...)
+	}
 	s.mu.Unlock()
 }
 
-// Event appends a point-in-time annotation to the span.
+// Event appends a point-in-time annotation to the span. Events after
+// End are dropped.
 func (s *Span) Event(name string, attrs ...Attr) {
 	if s == nil {
 		return
 	}
 	off := durationMillis(time.Since(s.start))
 	s.mu.Lock()
-	s.events = append(s.events, SpanEvent{OffsetMs: off, Name: name, Attrs: attrs})
+	if !s.ended {
+		// Copied, never retained, so the caller's variadic array stays
+		// on its stack. Earlier events keep their slices of a
+		// reallocated store's old array.
+		n := len(s.evAttrs)
+		s.evAttrs = append(s.evAttrs, attrs...)
+		m := len(s.evAttrs)
+		s.events = append(s.events, SpanEvent{OffsetMs: off, Name: name, Attrs: s.evAttrs[n:m:m]})
+	}
 	s.mu.Unlock()
 }
 
@@ -204,20 +294,27 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	rec := &SpanRecord{
-		Trace:    s.sc.Trace.String(),
-		Span:     s.sc.Span.String(),
+	// Span and parent IDs share one rendered string.
+	var ids [32]byte
+	hex.Encode(ids[:16], s.sc.Span[:])
+	n := 16
+	if !s.parent.IsZero() {
+		hex.Encode(ids[16:], s.parent[:])
+		n = 32
+	}
+	id := string(ids[:n])
+	s.rec = SpanRecord{
+		Trace:    s.trace,
+		Span:     id[:16],
+		Parent:   id[16:],
 		Name:     s.name,
 		Start:    s.start,
 		Duration: durationMillis(d),
 		Attrs:    s.attrs,
 		Events:   s.events,
 	}
-	if !s.parent.IsZero() {
-		rec.Parent = s.parent.String()
-	}
 	s.mu.Unlock()
-	s.t.push(rec)
+	s.t.push(&s.rec)
 }
 
 func durationMillis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -305,21 +402,16 @@ func ceilPow2(n, def int) int {
 	return p
 }
 
-// next advances the shared splitmix64 stream by one step.
+// next advances the shared splitmix64 stream by one step: one atomic
+// add, whatever the contention.
 func (t *Tracer) next() uint64 {
-	for {
-		old := t.rng.Load()
-		nv := old + 0x9E3779B97F4A7C15
-		if t.rng.CompareAndSwap(old, nv) {
-			z := nv
-			z ^= z >> 30
-			z *= 0xBF58476D1CE4E5B9
-			z ^= z >> 27
-			z *= 0x94D049BB133111EB
-			z ^= z >> 31
-			return z
-		}
-	}
+	z := t.rng.Add(0x9E3779B97F4A7C15)
+	z ^= z >> 30
+	z *= 0xBF58476D1CE4E5B9
+	z ^= z >> 27
+	z *= 0x94D049BB133111EB
+	z ^= z >> 31
+	return z
 }
 
 func (t *Tracer) newTraceID() TraceID {
@@ -375,12 +467,8 @@ func (t *Tracer) Root(ctx context.Context, name string) (context.Context, *Span)
 	if t.threshold != math.MaxUint64 && t.next() > t.threshold {
 		return ctx, nil
 	}
-	s := &Span{
-		t:     t,
-		name:  name,
-		sc:    SpanContext{Trace: t.newTraceID(), Span: t.newSpanID(), Sampled: true},
-		start: time.Now(),
-	}
+	trace := t.newTraceID()
+	s := newSpan(t, name, SpanContext{Trace: trace, Span: t.newSpanID(), Sampled: true}, trace.String(), SpanID{})
 	if t.roots != nil {
 		t.roots.Inc()
 	}
@@ -395,13 +483,8 @@ func (t *Tracer) RootFrom(ctx context.Context, name string, remote SpanContext) 
 	if t == nil || !remote.Sampled || remote.Trace.IsZero() {
 		return ctx, nil
 	}
-	s := &Span{
-		t:      t,
-		name:   name,
-		sc:     SpanContext{Trace: remote.Trace, Span: t.newSpanID(), Sampled: true},
-		parent: remote.Span,
-		start:  time.Now(),
-	}
+	s := newSpan(t, name, SpanContext{Trace: remote.Trace, Span: t.newSpanID(), Sampled: true},
+		remote.Trace.String(), remote.Span)
 	if t.roots != nil {
 		t.roots.Inc()
 	}
@@ -417,13 +500,8 @@ func Child(ctx context.Context, name string) (context.Context, *Span) {
 	if p == nil {
 		return ctx, nil
 	}
-	s := &Span{
-		t:      p.t,
-		name:   name,
-		sc:     SpanContext{Trace: p.sc.Trace, Span: p.t.newSpanID(), Sampled: true},
-		parent: p.sc.Span,
-		start:  time.Now(),
-	}
+	s := newSpan(p.t, name, SpanContext{Trace: p.sc.Trace, Span: p.t.newSpanID(), Sampled: true},
+		p.trace, p.sc.Span)
 	if p.t.children != nil {
 		p.t.children.Inc()
 	}

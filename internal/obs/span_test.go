@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"diacap/internal/testkit"
 )
 
 func TestTraceparentRoundTrip(t *testing.T) {
@@ -263,5 +265,33 @@ func TestHistogramExemplars(t *testing.T) {
 	r.Histogram("h_plain_ms", "help", []float64{1}).Observe(2)
 	if snap := r.Snapshot()["h_plain_ms"].(HistogramSnapshot); snap.Exemplars != nil {
 		t.Fatal("plain histogram leaked exemplars")
+	}
+}
+
+// A sampled plane op's span — six attrs and one delta event — costs
+// five allocations: the span, its context, the event list, the event
+// attr store and the rendered IDs. The trace ID is rendered once per
+// trace, so journaling it allocates nothing.
+func TestSampledSpanAllocs(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("allocation counts include race-detector bookkeeping")
+	}
+	tr := NewTracer(TracerOptions{SampleRate: 1, Seed: 5})
+	ctx, root := tr.Root(context.Background(), "root")
+	defer root.End()
+	allocs := testing.AllocsPerRun(100, func() {
+		_, sp := Child(ctx, "plane.migrate")
+		sp.SetAttr(Int("client", 1), Int("shard", 2), Int("target", 3))
+		sp.Event("evaluator.move", Int("shard", 2), Int("client", 1), Int("server", 3),
+			F64("d", 1.5), Int("heapOps", 4), Int("pairTouches", 5), Int("pairRescans", 0))
+		sp.SetAttr(Int("server", 3), Uint("epoch", 9), F64("d", 1.5))
+		_ = sp.TraceID()
+		sp.End()
+	})
+	if allocs > 5 {
+		t.Fatalf("sampled child span: %v allocs, want <= 5", allocs)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = root.TraceID() }); n != 0 {
+		t.Fatalf("TraceID: %v allocs, want 0", n)
 	}
 }

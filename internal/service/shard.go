@@ -24,7 +24,8 @@ type ShardAssignRequest struct {
 	// Client is the global client index.
 	Client int `json:"client"`
 	// Server is the migration target; omitted or -1 lets the owning
-	// shard's strategy choose. Ignored for join and leave.
+	// shard's strategy choose, and any other id outside the plane's
+	// servers is a 400. Ignored for join and leave.
 	Server *int `json:"server,omitempty"`
 }
 
@@ -58,7 +59,7 @@ type ShardSnapshotResponse struct {
 // conventions: unknown input 400, state conflicts 409, capacity 422.
 func shardOpError(err error) error {
 	switch {
-	case errors.Is(err, shard.ErrUnknownClient):
+	case errors.Is(err, shard.ErrUnknownClient), errors.Is(err, shard.ErrUnknownServer):
 		return badRequest("%v", err)
 	case errors.Is(err, core.ErrAlreadyAssigned),
 		errors.Is(err, core.ErrNotAssigned),
@@ -145,7 +146,7 @@ func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
 		D:          snap.D,
 		CertifiedD: snap.CertifiedD,
 		MaxRho:     snap.MaxRho,
-		Assignment: snap.Assignment,
+		Assignment: snap.Assignment(),
 		Loads:      snap.Loads,
 		Alive:      snap.Alive,
 		ShardLoad:  make([]int, len(snap.Shards)),

@@ -7,16 +7,24 @@ import (
 	"testing"
 
 	"diacap/internal/latency"
+	"diacap/internal/obs"
 	"diacap/internal/shard"
 )
 
 func shardServer(t *testing.T) (*Server, *shard.Plane) {
 	t.Helper()
+	return shardServerMetered(t, nil)
+}
+
+// shardServerMetered is shardServer with the plane's metrics going to
+// reg (nil for none).
+func shardServerMetered(t *testing.T, reg *obs.Registry) (*Server, *shard.Plane) {
+	t.Helper()
 	cs, err := latency.GenerateCoords(latency.DefaultConfig(44), 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := shard.New(shard.Options{Shards: 2, Servers: cs[:4], Clients: cs[4:]})
+	p, err := shard.New(shard.Options{Shards: 2, Servers: cs[:4], Clients: cs[4:], Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +80,13 @@ func TestShardAssignLifecycle(t *testing.T) {
 }
 
 func TestShardAssignErrors(t *testing.T) {
-	s, p := shardServer(t)
+	reg := obs.NewRegistry()
+	shard.Preregister(reg)
+	unknownServer := reg.Counter("diacap_shard_rejected_total", "", obs.L("reason", "unknown_server"))
+	s, p := shardServerMetered(t, reg)
+	if _, err := p.Join(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		req  ShardAssignRequest
@@ -82,11 +96,17 @@ func TestShardAssignErrors(t *testing.T) {
 		{"unknown client", ShardAssignRequest{Op: "join", Client: 9999}, http.StatusBadRequest},
 		{"leave inactive", ShardAssignRequest{Op: "leave", Client: 0}, http.StatusConflict},
 		{"migrate inactive", ShardAssignRequest{Op: "migrate", Client: 0, Server: ptr(0)}, http.StatusConflict},
+		{"migrate to server 99", ShardAssignRequest{Op: "migrate", Client: 1, Server: ptr(99)}, http.StatusBadRequest},
+		{"migrate to server -5", ShardAssignRequest{Op: "migrate", Client: 1, Server: ptr(-5)}, http.StatusBadRequest},
+		{"migrate to server -1 (strategy choice)", ShardAssignRequest{Op: "migrate", Client: 1, Server: ptr(-1)}, http.StatusOK},
 	}
 	for _, tc := range cases {
 		if rec := postJSON(t, s, "/v1/shard/assign", tc.req); rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body.String())
 		}
+	}
+	if n := unknownServer.Value(); n != 2 {
+		t.Errorf("unknown_server rejections counted %d, want 2", n)
 	}
 	// Migration onto a dead server is a state conflict.
 	if _, err := p.Join(context.Background(), 0); err != nil {

@@ -260,7 +260,7 @@ func TestShedDumpCarriesTriggeringTrace(t *testing.T) {
 	}
 	attrs := map[string]string{}
 	for _, a := range ev.Attrs {
-		attrs[a.Key] = a.Value
+		attrs[a.Key] = a.Value()
 	}
 	// Every component saturated; dead servers carry the largest weight.
 	if attrs["dominant"] != "dead_servers" {

@@ -38,3 +38,28 @@ func TestSnapshotReadZeroAlloc(t *testing.T) {
 		t.Fatalf("inconsistent read: snapshot epoch %d, Epoch() %d", snap.Epoch, epoch)
 	}
 }
+
+// A write republishes only its own shard's segment, one page of its
+// assignment included, so Migrate allocates the same number of times
+// per op at 1,600 and at 16,000 clients.
+func TestPlaneMigrateAllocsIndependentOfUniverse(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("allocation counts include race-detector bookkeeping")
+	}
+	var allocs [2]float64
+	for i, n := range planeBenchSizes {
+		p := benchPlane(t, n, true)
+		clients, offsets := migrateTape(n, p.NumServers(), 7)
+		op := 0
+		allocs[i] = testing.AllocsPerRun(500, func() {
+			if err := migrateOp(p, clients, offsets, op); err != nil {
+				t.Fatal(err)
+			}
+			op++
+		})
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("Migrate allocates %.2f times per op at %d clients, %.2f at %d",
+			allocs[0], planeBenchSizes[0], allocs[1], planeBenchSizes[1])
+	}
+}

@@ -26,6 +26,7 @@ func driveScript(t *testing.T, p *shard.Plane, seed int64) []byte {
 	ns := p.NumServers()
 	activeSet := make([]bool, n)
 	dead0 := false
+	sc := snapChecker{t: t, p: p}
 	for op := 0; op < 400; op++ {
 		c := rng.Intn(n)
 		switch {
@@ -51,24 +52,27 @@ func driveScript(t *testing.T, p *shard.Plane, seed int64) []byte {
 				t.Fatalf("op %d: migrate(%d,%d): %v", op, c, target, err)
 			}
 		}
+		sc.check("op %d", op)
 		if op == 200 {
 			if _, _, err := p.KillServer(context.Background(), 0); err != nil {
 				t.Fatal(err)
 			}
 			dead0 = true
+			sc.check("kill after op %d", op)
 		}
 		if op == 300 {
 			if _, err := p.RestartServer(context.Background(), 0); err != nil {
 				t.Fatal(err)
 			}
 			dead0 = false
+			sc.check("restart after op %d", op)
 		}
 	}
 	s := p.Current()
 	fp := binary.BigEndian.AppendUint64(nil, s.Epoch)
 	fp = binary.BigEndian.AppendUint64(fp, math.Float64bits(s.D))
 	fp = binary.BigEndian.AppendUint64(fp, math.Float64bits(s.CertifiedD))
-	for _, a := range s.Assignment {
+	for _, a := range s.Assignment() {
 		fp = binary.BigEndian.AppendUint64(fp, uint64(int64(a)))
 	}
 	for _, l := range s.Loads {
@@ -148,6 +152,7 @@ func TestShardOneMatchesUnsharded(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(17))
 	activeSet := make([]bool, len(clients))
+	sc := snapChecker{t: t, p: p}
 	for op := 0; op < 500; op++ {
 		c := rng.Intn(len(clients))
 		switch {
@@ -178,11 +183,12 @@ func TestShardOneMatchesUnsharded(t *testing.T) {
 			}
 			ev.Move(c, target)
 		}
+		sc.check("op %d", op)
 		s := p.Current()
 		bitsEq(t, fmt.Sprintf("op %d: sharded vs unsharded D", op), s.D, ev.D())
 		for i := range clients {
-			if s.Assignment[i] != ev.ServerOf(i) {
-				t.Fatalf("op %d: client %d assigned to %d sharded, %d unsharded", op, i, s.Assignment[i], ev.ServerOf(i))
+			if s.ServerOf(i) != ev.ServerOf(i) {
+				t.Fatalf("op %d: client %d assigned to %d sharded, %d unsharded", op, i, s.ServerOf(i), ev.ServerOf(i))
 			}
 		}
 	}

@@ -83,7 +83,7 @@ func Preregister(reg *obs.Registry) {
 	for _, op := range []string{"join", "leave", "migrate", "kill", "restart", "drift", "resolve"} {
 		reg.Counter(nShardEvents, hShardEvents, obs.L("op", op))
 	}
-	for _, reason := range []string{"unknown_client", "no_capacity", "conflict", "server_down"} {
+	for _, reason := range []string{"unknown_client", "unknown_server", "no_capacity", "conflict", "server_down"} {
 		reg.Counter(nShardRejected, hShardRejected, obs.L("reason", reason))
 	}
 	reg.Gauge(nShardEpoch, hShardEpoch)

@@ -31,6 +31,14 @@ func (p *Plane) opResult(ctx context.Context, shard, server int) OpResult {
 	return OpResult{Epoch: s.Epoch, Shard: shard, Server: server, D: s.D, CertifiedD: s.CertifiedD}
 }
 
+// clientOpResult publishes a join, leave or migration and stamps the
+// op's span with the outcome.
+func (p *Plane) clientOpResult(ctx context.Context, sp *obs.Span, shard, server int) OpResult {
+	r := p.opResult(ctx, shard, server)
+	sp.SetAttr(obs.Int("server", server), obs.Uint("epoch", r.Epoch), obs.F64("d", r.D))
+	return r
+}
+
 // begin opens the per-mutation span and parks it in p.curSpan so the
 // evaluator delta hook and the hysteresis hook can attach their events.
 // The returned func undoes the parking; callers hold p.mu. Every span
@@ -68,9 +76,7 @@ func (p *Plane) Join(ctx context.Context, c int) (OpResult, error) {
 		return OpResult{}, err
 	}
 	p.met.event("join")
-	r := p.opResult(ctx, sid, s)
-	sp.SetAttr(obs.Int("server", s), obs.Uint("epoch", r.Epoch), obs.F64("d", r.D))
-	return r, nil
+	return p.clientOpResult(ctx, sp, sid, s), nil
 }
 
 // place runs the shard strategy's join path for local client and
@@ -91,7 +97,7 @@ func (p *Plane) place(sh *shardState, local, global int) (int, error) {
 	if _, err := sh.ev.ApplyJoin(local, s); err != nil {
 		return -1, err
 	}
-	sh.noteAssign(p.clientCell[global], s, +1)
+	sh.noteAssign(local, s, +1)
 	return s, nil
 }
 
@@ -116,23 +122,26 @@ func (p *Plane) Leave(ctx context.Context, c int) (OpResult, error) {
 		p.met.rejected("conflict")
 		return OpResult{}, err
 	}
-	sh.noteAssign(p.clientCell[c], old, -1)
+	sh.noteAssign(local, old, -1)
 	p.met.event("leave")
-	r := p.opResult(ctx, sid, old)
-	sp.SetAttr(obs.Int("server", old), obs.Uint("epoch", r.Epoch), obs.F64("d", r.D))
-	return r, nil
+	return p.clientOpResult(ctx, sp, sid, old), nil
 }
 
-// Migrate moves active client c to server target; target < 0 asks the
+// Migrate moves active client c to server target; target -1 asks the
 // owning shard's strategy to re-place the client (the client keeps its
 // old server if no better placement has room). Fails with
-// ErrUnknownClient, core.ErrNotAssigned, ErrServerDown, or
-// ErrNoCapacity.
+// ErrUnknownClient, ErrUnknownServer, core.ErrNotAssigned,
+// ErrServerDown, or ErrNoCapacity.
 func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 	sid, err := p.ShardOf(c)
 	if err != nil {
 		p.met.rejected("unknown_client")
 		return OpResult{}, err
+	}
+	if target != -1 {
+		if err := p.checkServer(target); err != nil {
+			return OpResult{}, err
+		}
 	}
 	ctx, sp := obs.Child(ctx, "plane.migrate")
 	defer sp.End()
@@ -148,9 +157,6 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 		return OpResult{}, fmt.Errorf("%w: migrate of client %d", core.ErrNotAssigned, c)
 	}
 	if target >= 0 {
-		if target >= len(p.alive) {
-			return OpResult{}, fmt.Errorf("shard: server %d out of range [0,%d)", target, len(p.alive))
-		}
 		if !p.alive[target] {
 			p.met.rejected("server_down")
 			return OpResult{}, fmt.Errorf("%w: server %d", ErrServerDown, target)
@@ -163,32 +169,28 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 			return OpResult{}, err
 		}
 		if target != old {
-			sh.noteAssign(p.clientCell[c], old, -1)
-			sh.noteAssign(p.clientCell[c], target, +1)
+			sh.noteAssign(local, old, -1)
+			sh.noteAssign(local, target, +1)
 		}
 		p.met.event("migrate")
-		r := p.opResult(ctx, sid, target)
-		sp.SetAttr(obs.Int("server", target), obs.Uint("epoch", r.Epoch), obs.F64("d", r.D))
-		return r, nil
+		return p.clientOpResult(ctx, sp, sid, target), nil
 	}
 	// Strategy re-placement: lift the client out, ask the strategy, and
 	// restore the old seat if nothing has room.
 	if _, err := sh.ev.ApplyLeave(local); err != nil {
 		return OpResult{}, err
 	}
-	sh.noteAssign(p.clientCell[c], old, -1)
+	sh.noteAssign(local, old, -1)
 	s, err := p.place(sh, local, c)
 	if err != nil {
 		if _, rerr := sh.ev.ApplyJoin(local, old); rerr != nil {
 			return OpResult{}, errors.Join(err, rerr)
 		}
-		sh.noteAssign(p.clientCell[c], old, +1)
+		sh.noteAssign(local, old, +1)
 		return OpResult{}, err
 	}
 	p.met.event("migrate")
-	r := p.opResult(ctx, sid, s)
-	sp.SetAttr(obs.Int("server", s), obs.Uint("epoch", r.Epoch), obs.F64("d", r.D))
-	return r, nil
+	return p.clientOpResult(ctx, sp, sid, s), nil
 }
 
 // KillServer marks server k dead and evacuates its clients shard by
@@ -199,8 +201,8 @@ func (p *Plane) Migrate(ctx context.Context, c, target int) (OpResult, error) {
 // either has a live seat or is detached). A kill is a failover: it is
 // journaled in the flight recorder and triggers a recorder dump.
 func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
-	if k < 0 || k >= len(p.alive) {
-		return OpResult{}, 0, fmt.Errorf("shard: server %d out of range [0,%d)", k, len(p.alive))
+	if err := p.checkServer(k); err != nil {
+		return OpResult{}, 0, err
 	}
 	ctx, sp := obs.Child(ctx, "plane.kill")
 	defer sp.End()
@@ -210,8 +212,7 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 	defer p.begin(sp)()
 	if !p.alive[k] {
 		// Idempotent double kill: no state change, no new epoch.
-		s := p.snap.Load()
-		return OpResult{Epoch: s.Epoch, Shard: -1, Server: k, D: s.D, CertifiedD: s.CertifiedD}, 0, nil
+		return p.unchanged(k), 0, nil
 	}
 	p.alive[k] = false
 	p.dead++
@@ -236,7 +237,7 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 			if _, err := sh.ev.ApplyLeave(local); err != nil {
 				return OpResult{}, evacuated, err
 			}
-			sh.noteAssign(p.clientCell[global], k, -1)
+			sh.noteAssign(local, k, -1)
 			if _, err := p.place(sh, local, global); err != nil {
 				p.met.event("kill")
 				r := p.opResult(ctx, -1, k)
@@ -253,10 +254,11 @@ func (p *Plane) KillServer(ctx context.Context, k int) (OpResult, int, error) {
 }
 
 // RestartServer brings server k back. Restarting a live server is
-// idempotent.
+// idempotent: no state change, no new epoch, so readers pinned to the
+// current epoch keep it.
 func (p *Plane) RestartServer(ctx context.Context, k int) (OpResult, error) {
-	if k < 0 || k >= len(p.alive) {
-		return OpResult{}, fmt.Errorf("shard: server %d out of range [0,%d)", k, len(p.alive))
+	if err := p.checkServer(k); err != nil {
+		return OpResult{}, err
 	}
 	ctx, sp := obs.Child(ctx, "plane.restart")
 	defer sp.End()
@@ -264,17 +266,35 @@ func (p *Plane) RestartServer(ctx context.Context, k int) (OpResult, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer p.begin(sp)()
-	if !p.alive[k] {
-		p.alive[k] = true
-		p.dead--
-		p.rebuildEffCaps()
-		p.met.event("restart")
-		p.jFailover.Record("restart", sp.TraceID(),
-			obs.Int("server", k), obs.Int("dead", p.dead))
+	if p.alive[k] {
+		return p.unchanged(k), nil
 	}
+	p.alive[k] = true
+	p.dead--
+	p.rebuildEffCaps()
+	p.met.event("restart")
+	p.jFailover.Record("restart", sp.TraceID(),
+		obs.Int("server", k), obs.Int("dead", p.dead))
 	r := p.opResult(ctx, -1, k)
 	sp.SetAttr(obs.Uint("epoch", r.Epoch))
 	return r, nil
+}
+
+// checkServer rejects a server id outside [0, NumServers) with
+// ErrUnknownServer.
+func (p *Plane) checkServer(k int) error {
+	if k < 0 || k >= len(p.alive) {
+		p.met.rejected("unknown_server")
+		return fmt.Errorf("%w: %d (servers 0..%d)", ErrUnknownServer, k, len(p.alive)-1)
+	}
+	return nil
+}
+
+// unchanged reports the published state for a whole-plane op on server
+// k that changed nothing; it publishes no epoch. Callers hold p.mu.
+func (p *Plane) unchanged(k int) OpResult {
+	s := p.snap.Load()
+	return OpResult{Epoch: s.Epoch, Shard: -1, Server: k, D: s.D, CertifiedD: s.CertifiedD}
 }
 
 // rebuildEffCaps refreshes every shard's effective capacity vector
@@ -323,7 +343,7 @@ func (p *Plane) RepairShard(ctx context.Context, id int, now float64) (int, erro
 	moves := sh.strat.Repair(sh.ev, sh.effCaps, now)
 	sp.SetAttr(obs.Int("moves", moves))
 	if moves != 0 {
-		sh.reconcileCells(p, before)
+		sh.reconcileCells(before)
 		p.publishLocked(ctx)
 	}
 	return moves, nil
@@ -386,7 +406,7 @@ func (p *Plane) Resolve(ctx context.Context, algName string, seed int64) (OpResu
 				moved++
 			}
 		}
-		sh.reconcileCells(p, before)
+		sh.reconcileCells(before)
 	}
 	p.met.event("resolve")
 	r := p.opResult(ctx, -1, core.Unassigned)
@@ -403,33 +423,48 @@ func (p *Plane) resolveCaps(sh *shardState) core.Capacities {
 	return sh.effCaps
 }
 
-// noteAssign maintains the shard's cell-level occupancy and active
-// count after one client's (de)assignment on server s.
-func (sh *shardState) noteAssign(cell, s, delta int) {
+// noteAssign maintains the shard's cell-level summary, active count
+// and dirty marks after shard-local client local was (de)assigned on
+// server s. The certified bound moves only on a row's 0↔1 transitions:
+// a newly occupied row can only raise boundEcc[s], and a vacated row
+// forces a rescan of server s's rows only when it held the max. Max is
+// exact in floats, so the bound equals a from-scratch fold.
+func (sh *shardState) noteAssign(local, s, delta int) {
 	if s == core.Unassigned {
 		return
 	}
-	row := sh.cellLoad[cell]
-	if row == nil {
-		row = make([]int, sh.in.NumServers())
-		sh.cellLoad[cell] = row
+	ns := len(sh.boundEcc)
+	i := sh.localCell[local]*ns + s
+	sh.cellLoad[i] += delta
+	switch n := sh.cellLoad[i]; {
+	case delta > 0 && n == 1:
+		sh.boundEcc[s] = max(sh.boundEcc[s], sh.cellBound[i])
+	case delta < 0 && n == 0 && sh.cellBound[i] >= sh.boundEcc[s]:
+		// An occupied row never exceeds the max, so >= means the
+		// vacated row held it.
+		b := -1.0
+		for j := s; j < len(sh.cellLoad); j += ns {
+			if sh.cellLoad[j] > 0 {
+				b = max(b, sh.cellBound[j])
+			}
+		}
+		sh.boundEcc[s] = b
 	}
-	row[s] += delta
 	sh.active += delta
 	sh.dirty = true
+	sh.pageDirty[local/pageSize] = true
 }
 
-// reconcileCells rebuilds the cell-level occupancy from the assignment
-// diff after a strategy or solver mutated the evaluator directly.
-func (sh *shardState) reconcileCells(p *Plane, before core.Assignment) {
+// reconcileCells replays the assignment diff into the cell-level
+// summary after a strategy or solver mutated the evaluator directly.
+func (sh *shardState) reconcileCells(before core.Assignment) {
 	for local, prev := range before {
 		cur := sh.ev.ServerOf(local)
 		if cur == prev {
 			continue
 		}
-		cell := p.clientCell[sh.clients[local]]
-		sh.noteAssign(cell, prev, -1)
-		sh.noteAssign(cell, cur, +1)
+		sh.noteAssign(local, prev, -1)
+		sh.noteAssign(local, cur, +1)
 	}
 }
 

@@ -131,7 +131,7 @@ func TestReplayMultiShard(t *testing.T) {
 				if res.DriftSteps > 0 {
 					oracle = sc.Snapshots[len(sc.Snapshots)-1].Instance
 				}
-				ev, err := oracle.NewEvaluator(final.Assignment)
+				ev, err := oracle.NewEvaluator(final.Assignment())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -22,7 +22,8 @@
 // Mutations (Join, Leave, Migrate, server kill/restart, coordinate
 // drift) route to the owning shard and cost O(shard repair), not
 // O(world): the shard evaluators run the incremental D engine of
-// internal/core.
+// internal/core, and a publish rebuilds only the snapshot segments of
+// the shards a mutation touched.
 package shard
 
 import (
@@ -50,6 +51,8 @@ var (
 	ErrNoCapacity = errors.New("shard: no capacity in owning shard")
 	// ErrServerDown reports an operation targeting a killed server.
 	ErrServerDown = errors.New("shard: server is down")
+	// ErrUnknownServer reports a server id outside the plane's servers.
+	ErrUnknownServer = errors.New("shard: unknown server")
 )
 
 // StrategyFactory builds one online strategy per shard. Each shard gets
@@ -121,15 +124,11 @@ type Plane struct {
 	cellShard   []int
 	clientShard []int
 	clientLocal []int
-	clientCell  []int
 	// ss is the server-server latency table (CoordsToMatrix over the
 	// server coordinates, so entries are bit-identical to every shard
 	// sub-instance's ServerServerDist).
-	ss latency.Matrix
-	// repDist[j][k] is the certified distance bound base: latency from
-	// cell j's representative to server k.
-	repDist [][]float64
-	maxRho  float64
+	ss     latency.Matrix
+	maxRho float64
 
 	shards []*shardState
 	alive  []bool
@@ -143,12 +142,15 @@ type Plane struct {
 	clientNodes []int
 	// drifted marks that the latency space no longer matches the cell
 	// geometry; the certified bound then degrades to the exact
-	// eccentricities (see rebuildSummary).
+	// eccentricities (see publishSegment).
 	drifted bool
 
 	mu    sync.Mutex
 	epoch uint64
 	snap  atomic.Pointer[Snapshot]
+	// eccMerge and boundMerge are publishLocked's scratch for the
+	// merged per-server eccentricities. Guarded by p.mu.
+	eccMerge, boundMerge []float64
 
 	met    *planeMetrics
 	tracer *obs.Tracer
@@ -179,18 +181,26 @@ type shardState struct {
 	effCaps core.Capacities
 	strat   dynamic.Strategy
 	active  int
-	// cellLoad[j][k] counts active clients of plane cell j assigned to
-	// server k — the cell-level summary behind the certified bound.
-	// Only cells owned by this shard have rows.
-	cellLoad map[int][]int
-	// dirty marks that the shard's summary must be rebuilt at the next
+	// The cell-level summary behind the certified bound, dense over the
+	// cells this shard owns (row r is the shard's r-th cell, one column
+	// per server): cellLoad counts the row's active clients on each
+	// server, and cellBound is rep-to-server latency plus the cell
+	// radius ρ (widened by certifiedUp). localCell[i] is shard-local
+	// client i's row.
+	cellLoad  []int
+	cellBound []float64
+	localCell []int
+	// boundEcc[k] is the max of cellBound over the rows with clients on
+	// server k (-1 when none), kept current by noteAssign.
+	boundEcc []float64
+	// dirty marks that the shard changed since its last segment, and
+	// pageDirty[g] that assignment page g must be copied at the next
 	// publish.
-	dirty bool
-	// summary is the last published per-shard summary; summaryEpoch is
-	// the epoch at which it was last rebuilt (a stale shard shows an old
-	// value here while the plane epoch keeps advancing).
-	summary      ShardSummary
-	summaryEpoch uint64
+	dirty     bool
+	pageDirty []bool
+	// seg is the shard's last published segment (its Epoch lags the
+	// plane epoch while the shard is quiet).
+	seg *Segment
 	// lastRepair is the wall time of the last strategy repair pass run
 	// for this shard (zero until the first RepairShard).
 	lastRepair time.Time
@@ -250,10 +260,10 @@ func New(opts Options) (*Plane, error) {
 		cellShard:   make([]int, len(cells)),
 		clientShard: make([]int, len(opts.Clients)),
 		clientLocal: make([]int, len(opts.Clients)),
-		clientCell:  make([]int, len(opts.Clients)),
 		ss:          latency.CoordsToMatrix(opts.Servers),
-		repDist:     make([][]float64, len(cells)),
 		alive:       make([]bool, len(opts.Servers)),
+		eccMerge:    make([]float64, len(opts.Servers)),
+		boundMerge:  make([]float64, len(opts.Servers)),
 		met:         newPlaneMetrics(opts.Metrics),
 		tracer:      opts.Tracer,
 		flight:      opts.Flight,
@@ -266,21 +276,8 @@ func New(opts Options) (*Plane, error) {
 	for k := range p.alive {
 		p.alive[k] = true
 	}
-	for j, cell := range cells {
-		row := make([]float64, len(opts.Servers))
-		for k, sc := range opts.Servers {
-			// Floored like CoordsToMatrix entries, so the bound
-			// rep→server + ρ dominates the (floored) member→server
-			// distances even for coincident coordinates.
-			row[k] = max(cell.Rep.LatencyTo(sc), 1e-9)
-		}
-		p.repDist[j] = row
-		if cell.Rho > p.maxRho {
-			p.maxRho = cell.Rho
-		}
-		for _, m := range cell.Members {
-			p.clientCell[m] = j
-		}
+	for _, cell := range cells {
+		p.maxRho = max(p.maxRho, cell.Rho)
 	}
 	p.partition()
 	if err := p.buildShards(); err != nil {
@@ -363,6 +360,13 @@ func (p *Plane) buildShards() error {
 		}
 	}
 
+	// Each shard's cells, ascending: the rows of its dense cell-level
+	// summary.
+	owned := make([][]int, p.opts.Shards)
+	for j, s := range p.cellShard {
+		owned[s] = append(owned[s], j)
+	}
+
 	for s := 0; s < p.opts.Shards; s++ {
 		coords := make([]latency.Coord, 0, ns+len(members[s]))
 		coords = append(coords, p.opts.Servers...)
@@ -390,21 +394,57 @@ func (p *Plane) buildShards() error {
 		if capShare != nil {
 			caps = capShare[s]
 		}
-		p.shards[s] = &shardState{
-			id:       s,
-			clients:  members[s],
-			in:       in,
-			ev:       ev,
-			caps:     caps,
-			effCaps:  caps,
-			strat:    p.opts.Strategy(in),
-			cellLoad: make(map[int][]int),
-			dirty:    true,
+		pages := (len(members[s]) + pageSize - 1) / pageSize
+		sh := &shardState{
+			id:        s,
+			clients:   members[s],
+			in:        in,
+			ev:        ev,
+			caps:      caps,
+			effCaps:   caps,
+			strat:     p.opts.Strategy(in),
+			cellLoad:  make([]int, len(owned[s])*ns),
+			cellBound: make([]float64, len(owned[s])*ns),
+			localCell: make([]int, len(members[s])),
+			boundEcc:  make([]float64, ns),
+			dirty:     true,
+			pageDirty: make([]bool, pages),
+			// The first publish fills every page of this empty segment.
+			seg: &Segment{pages: make([][]int, pages)},
 		}
-		p.installHooks(p.shards[s])
+		for r, j := range owned[s] {
+			cell := p.cells[j]
+			for k, sc := range p.opts.Servers {
+				// Floored like CoordsToMatrix entries, so the bound
+				// rep→server + ρ dominates the (floored) member→server
+				// distances even for coincident coordinates.
+				sh.cellBound[r*ns+k] = certifiedUp(max(cell.Rep.LatencyTo(sc), 1e-9) + cell.Rho)
+			}
+			for _, m := range cell.Members {
+				sh.localCell[p.clientLocal[m]] = r
+			}
+		}
+		for k := range sh.boundEcc {
+			sh.boundEcc[k] = -1
+		}
+		for g := range sh.pageDirty {
+			sh.pageDirty[g] = true
+		}
+		p.shards[s] = sh
+		p.installHooks(sh)
 	}
 	return nil
 }
+
+// certifiedUp widens a cell bound by a relative 2^-47 (64 ulps). In
+// real arithmetic rep→server + ρ dominates every member's distance, but
+// both sides are rounded float sums (LatencyTo adds the two heights in
+// argument order, CoordsToMatrix puts the lower node index first), and
+// without the margin a ρ = 0 cell's bound can land an ulp below its own
+// member's matrix entry, putting CertifiedD below D. Each side carries
+// at most a few ε of relative error, far inside the margin, which in
+// turn stays far inside the 4·maxρ envelope's test tolerance.
+func certifiedUp(v float64) float64 { return v * (1 + 0x1p-47) }
 
 // installHooks attaches the evaluator delta hook and the hysteresis
 // suppression hook to one shard's evaluator and strategy. Called from
@@ -416,12 +456,12 @@ func (p *Plane) installHooks(sh *shardState) {
 	if p.tracer != nil {
 		sh.ev.SetDeltaHook(func(ev core.DeltaEvent) {
 			if p.curSpan == nil {
-				// Unsampled mutation: skip attr rendering entirely —
-				// Event would discard it, but its arguments are built
+				// Unsampled mutation: skip building the attrs — Event
+				// would discard them, but its arguments are built
 				// eagerly, and this hook sits on the evaluator hot path.
 				return
 			}
-			p.curSpan.Event("evaluator."+ev.Op,
+			p.curSpan.Event(deltaEventName(ev.Op),
 				obs.Int("shard", shard),
 				obs.Int("client", ev.Client),
 				obs.Int("server", ev.Server),
@@ -445,6 +485,21 @@ func (p *Plane) installHooks(sh *shardState) {
 				obs.F64("now", now))
 		}
 	}
+}
+
+// deltaEventName is the span event name of an evaluator delta op,
+// constant for the ops the plane applies so a sampled op does not
+// concatenate one.
+func deltaEventName(op string) string {
+	switch op {
+	case "join":
+		return "evaluator.join"
+	case "leave":
+		return "evaluator.leave"
+	case "move":
+		return "evaluator.move"
+	}
+	return "evaluator." + op
 }
 
 // NumShards returns the shard count.

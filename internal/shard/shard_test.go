@@ -3,6 +3,7 @@ package shard_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -49,6 +50,23 @@ func globalD(t testing.TB, servers, clients []latency.Coord, a []int) float64 {
 		t.Fatal(err)
 	}
 	return ev.D()
+}
+
+// snapChecker runs CheckSnapshot on the plane's published snapshot
+// after every op, each time against the snapshot it checked before.
+type snapChecker struct {
+	t    *testing.T
+	p    *shard.Plane
+	prev *shard.Snapshot
+}
+
+func (sc *snapChecker) check(format string, args ...any) {
+	sc.t.Helper()
+	cur := sc.p.Current()
+	if err := sc.p.CheckSnapshot(sc.prev, cur); err != nil {
+		sc.t.Fatalf("%s: %v", fmt.Sprintf(format, args...), err)
+	}
+	sc.prev = cur
 }
 
 func bitsEq(t *testing.T, label string, got, want float64) {
@@ -111,7 +129,7 @@ func TestPlaneSnapshotExactD(t *testing.T) {
 		}
 		s := p.Current()
 		if op%10 == 0 {
-			bitsEq(t, "snapshot D vs global evaluator", s.D, globalD(t, servers, clients, s.Assignment))
+			bitsEq(t, "snapshot D vs global evaluator", s.D, globalD(t, servers, clients, s.Assignment()))
 		}
 		if s.CertifiedD < s.D {
 			t.Fatalf("op %d: certified bound %v below exact D %v", op, s.CertifiedD, s.D)
@@ -121,7 +139,7 @@ func TestPlaneSnapshotExactD(t *testing.T) {
 		}
 	}
 	s := p.Current()
-	bitsEq(t, "final snapshot D", s.D, globalD(t, servers, clients, s.Assignment))
+	bitsEq(t, "final snapshot D", s.D, globalD(t, servers, clients, s.Assignment()))
 	if st := p.EvaluatorStats(); st.Recomputes != 0 || st.EccScans != 0 {
 		t.Fatalf("plane fell back to O(world) repair: %+v", st)
 	}
@@ -170,6 +188,34 @@ func TestPlaneEpochProtocol(t *testing.T) {
 	}
 }
 
+// TestPlaneRedundantRestartKeepsEpoch pins that restarting a live server,
+// like killing a dead one, changes nothing: it publishes no epoch, so a
+// reader pinned to the current epoch keeps it.
+func TestPlaneRedundantRestartKeepsEpoch(t *testing.T) {
+	servers, clients := testCoords(t, 40, 4, 3)
+	p, err := shard.New(shard.Options{Shards: 2, Servers: servers, Clients: clients})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Join(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	pinned := p.Epoch()
+	r, err := p.RestartServer(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Epoch != pinned || p.Epoch() != pinned {
+		t.Fatalf("redundant restart: result epoch %d, plane epoch %d, want %d", r.Epoch, p.Epoch(), pinned)
+	}
+	if _, err := p.At(pinned); err != nil {
+		t.Fatalf("At(pinned) after a redundant restart: %v", err)
+	}
+	if _, err := p.ViewAt(pinned); err != nil {
+		t.Fatalf("ViewAt(pinned) after a redundant restart: %v", err)
+	}
+}
+
 // TestPlaneOpErrors covers the typed rejection surface.
 func TestPlaneOpErrors(t *testing.T) {
 	servers, clients := testCoords(t, 30, 3, 4)
@@ -204,6 +250,27 @@ func TestPlaneOpErrors(t *testing.T) {
 	}
 	if _, err := p.Migrate(context.Background(), 5, 0); err != nil {
 		t.Fatalf("migrate to restarted server: %v", err)
+	}
+	epoch := p.Epoch()
+	for _, k := range []int{len(servers), 99, -2, -5} {
+		if _, err := p.Migrate(context.Background(), 5, k); !errors.Is(err, shard.ErrUnknownServer) {
+			t.Fatalf("migrate to server %d: %v", k, err)
+		}
+		if _, _, err := p.KillServer(context.Background(), k); !errors.Is(err, shard.ErrUnknownServer) {
+			t.Fatalf("kill of server %d: %v", k, err)
+		}
+		if _, err := p.RestartServer(context.Background(), k); !errors.Is(err, shard.ErrUnknownServer) {
+			t.Fatalf("restart of server %d: %v", k, err)
+		}
+	}
+	if _, _, err := p.KillServer(context.Background(), -1); !errors.Is(err, shard.ErrUnknownServer) {
+		t.Fatalf("kill of server -1: %v", err)
+	}
+	if p.Epoch() != epoch {
+		t.Fatalf("rejected server ids advanced the epoch from %d to %d", epoch, p.Epoch())
+	}
+	if _, err := p.Migrate(context.Background(), 5, -1); err != nil {
+		t.Fatalf("migrate with target -1 (strategy choice): %v", err)
 	}
 }
 
@@ -241,10 +308,12 @@ func TestPlaneKillRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := snapChecker{t: t, p: p}
 	for c := 0; c < len(clients); c++ {
 		if _, err := p.Join(context.Background(), c); err != nil {
 			t.Fatal(err)
 		}
+		sc.check("join %d", c)
 	}
 	victim := 2
 	if p.Current().Loads[victim] == 0 {
@@ -257,6 +326,7 @@ func TestPlaneKillRestart(t *testing.T) {
 	if evacuated == 0 {
 		t.Fatal("kill evacuated nobody despite load")
 	}
+	sc.check("kill")
 	s := p.Current()
 	if s.Loads[victim] != 0 {
 		t.Fatalf("dead server still has load %d", s.Loads[victim])
@@ -267,7 +337,7 @@ func TestPlaneKillRestart(t *testing.T) {
 	if s.Active != len(clients) {
 		t.Fatalf("evacuation lost clients: active %d of %d", s.Active, len(clients))
 	}
-	bitsEq(t, "post-kill snapshot D", s.D, globalD(t, servers, clients, s.Assignment))
+	bitsEq(t, "post-kill snapshot D", s.D, globalD(t, servers, clients, s.Assignment()))
 	// Double kill is an epoch-neutral no-op.
 	r2, evac2, err := p.KillServer(context.Background(), victim)
 	if err != nil || evac2 != 0 || r2.Epoch != s.Epoch {
@@ -276,6 +346,7 @@ func TestPlaneKillRestart(t *testing.T) {
 	if _, err := p.RestartServer(context.Background(), victim); err != nil {
 		t.Fatal(err)
 	}
+	sc.check("restart")
 	if !p.Current().Alive[victim] {
 		t.Fatal("restart did not revive the server")
 	}
@@ -293,10 +364,12 @@ func TestPlaneResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := snapChecker{t: t, p: p}
 	for c := 0; c < len(clients); c++ {
 		if _, err := p.Join(context.Background(), c); err != nil {
 			t.Fatal(err)
 		}
+		sc.check("join %d", c)
 	}
 	before := p.Current().D
 	r, moved, err := p.Resolve(context.Background(), "Greedy", 1)
@@ -306,8 +379,9 @@ func TestPlaneResolve(t *testing.T) {
 	if r.D > before+1e-9 {
 		t.Fatalf("resolve worsened D: %v -> %v (moved %d)", before, r.D, moved)
 	}
+	sc.check("resolve")
 	s := p.Current()
-	bitsEq(t, "post-resolve snapshot D", s.D, globalD(t, servers, clients, s.Assignment))
+	bitsEq(t, "post-resolve snapshot D", s.D, globalD(t, servers, clients, s.Assignment()))
 }
 
 // TestPlaneLockFreeReads hammers Current/At from readers while a writer
@@ -377,5 +451,124 @@ func TestPlaneRouter(t *testing.T) {
 	// membership; the overwhelming majority must still agree.
 	if agree < len(clients)*9/10 {
 		t.Fatalf("router agrees with partition on only %d/%d clients", agree, len(clients))
+	}
+}
+
+// TestPlaneSegmentSharing pins O(dirty) publication under the race detector:
+// while readers flatten pinned snapshots and recount their loads, one
+// writer churns clients of all four shards, and every publish must
+// build a fresh segment for the written shard only, carrying the other
+// shards' segments over by pointer.
+func TestPlaneSegmentSharing(t *testing.T) {
+	servers, clients := testCoords(t, 400, 8, 12)
+	p, err := shard.New(shard.Options{Shards: 4, Servers: servers, Clients: clients, MaxCells: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s := p.Current()
+				loads := make([]int, len(s.Loads))
+				for _, k := range s.Assignment() {
+					if k >= 0 {
+						loads[k]++
+					}
+				}
+				for k := range loads {
+					if loads[k] != s.Loads[k] {
+						errs <- fmt.Errorf("epoch %d: server %d holds %d clients, Loads says %d", s.Epoch, k, loads[k], s.Loads[k])
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	active := make([]bool, len(clients))
+	touched := make([]int, p.NumShards())
+	for op := 0; op < 1500; op++ {
+		c := rng.Intn(len(clients))
+		sid, err := p.ShardOf(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := p.Current()
+		switch {
+		case !active[c]:
+			_, err = p.Join(context.Background(), c)
+			active[c] = true
+		case rng.Intn(3) == 0:
+			_, err = p.Leave(context.Background(), c)
+			active[c] = false
+		default:
+			target := (prev.ServerOf(c) + 1 + rng.Intn(len(servers)-1)) % len(servers)
+			_, err = p.Migrate(context.Background(), c, target)
+		}
+		if err != nil {
+			t.Fatalf("op %d on client %d: %v", op, c, err)
+		}
+		cur := p.Current()
+		for s := range cur.Shards {
+			if fresh := cur.Shards[s] != prev.Shards[s]; fresh != (s == sid) {
+				t.Fatalf("op %d wrote shard %d: shard %d segment fresh=%v", op, sid, s, fresh)
+			}
+		}
+		if cur.Shards[sid].Epoch != cur.Epoch {
+			t.Fatalf("op %d: fresh segment stamped epoch %d, snapshot %d", op, cur.Shards[sid].Epoch, cur.Epoch)
+		}
+		touched[sid]++
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for s, n := range touched {
+		if n == 0 {
+			t.Errorf("shard %d was never written", s)
+		}
+	}
+}
+
+// TestCertifiedBoundCoversDWithPointCells pins the certified bound on
+// the plane's default geometry: with fewer clients than MaxCells every
+// client is its own cell (ρ = 0), so a cell bound and the matrix entry
+// behind D are the same latency summed in different float orders.
+// Unwidened, the bound lands an ulp below D on these seeds.
+func TestCertifiedBoundCoversDWithPointCells(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, seed := range []int64{2, 7, 27} {
+			servers, clients := testCoords(t, 40, 8, seed)
+			p, err := shard.New(shard.Options{Shards: shards, Servers: servers, Clients: clients})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rho := p.Current().MaxRho; rho != 0 {
+				t.Fatalf("MaxRho = %v, want point cells", rho)
+			}
+			for c := range clients {
+				r, err := p.Join(context.Background(), c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.CertifiedD < r.D {
+					t.Fatalf("shards=%d seed=%d join %d: CertifiedD %v < D %v (epoch %d)",
+						shards, seed, c, r.CertifiedD, r.D, r.Epoch)
+				}
+			}
+		}
 	}
 }

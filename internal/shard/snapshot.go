@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"diacap/internal/core"
 	"diacap/internal/obs"
 )
 
@@ -47,14 +46,40 @@ type ShardSummary struct {
 	BoundEcc []float64
 }
 
+// pageSize is the number of shard-local clients per assignment page of
+// a Segment. A publish copies only the pages a write touched, plus the
+// dirty shard's page table of one pointer per page.
+const pageSize = 64
+
+// Segment is one shard's immutable part of a published snapshot: its
+// summary, its per-server loads, and the servers of its clients. A
+// publish builds a fresh segment only for a shard that changed; every
+// other shard's segment is carried into the next snapshot by pointer.
+type Segment struct {
+	ShardSummary
+	// Epoch is the epoch at which this segment was built (it lags the
+	// snapshot epoch while the shard is quiet).
+	Epoch uint64
+	// Loads[k] is the number of this shard's clients on server k.
+	Loads []int
+	// pages[g][i] is the server of shard-local client g·pageSize+i, or
+	// core.Unassigned. Pages a publish did not touch are shared with
+	// the previous segment.
+	pages [][]int
+}
+
+// serverOf returns the server of shard-local client local.
+func (seg *Segment) serverOf(local int) int {
+	return seg.pages[local/pageSize][local%pageSize]
+}
+
 // Snapshot is the immutable published world state. Readers obtain it
 // lock-free through Current/At and must not mutate it.
 type Snapshot struct {
 	// Epoch is the monotone publication counter (first snapshot = 1).
 	Epoch uint64
-	// Assignment[c] is the server of client c, or core.Unassigned.
-	Assignment []int
-	// Loads[k] is the global load of server k.
+	// Loads[k] is the global load of server k (the sum of the segments'
+	// loads).
 	Loads []int
 	// Active is the number of assigned clients.
 	Active int
@@ -67,12 +92,33 @@ type Snapshot struct {
 	// endpoint eccentricity of the pair scan can overshoot its exact
 	// value by at most 2·MaxRho).
 	CertifiedD float64
-	// MaxRho is the largest cell radius; CertifiedD - D ≤ 4·MaxRho.
+	// MaxRho is the largest cell radius; CertifiedD - D ≤ 4·MaxRho,
+	// up to the cell bounds' 2^-47 rounding margin (certifiedUp).
 	MaxRho float64
-	// Shards holds the per-shard summaries the reconciliation consumed.
-	Shards []ShardSummary
+	// Shards holds the per-shard segments the reconciliation consumed,
+	// indexed by shard id.
+	Shards []*Segment
 	// Alive[k] reports whether server k is up.
 	Alive []bool
+	// clientShard and clientLocal are the plane's immutable client maps
+	// (global id → shard, shard-local id) behind ServerOf.
+	clientShard, clientLocal []int
+}
+
+// ServerOf returns the server of client c (an id of the plane's client
+// universe), or core.Unassigned for an inactive client.
+func (s *Snapshot) ServerOf(c int) int {
+	return s.Shards[s.clientShard[c]].serverOf(s.clientLocal[c])
+}
+
+// Assignment builds the flat assignment: entry c is ServerOf(c). It
+// costs O(clients), so the write path never calls it.
+func (s *Snapshot) Assignment() []int {
+	a := make([]int, len(s.clientShard))
+	for c := range a {
+		a[c] = s.ServerOf(c)
+	}
+	return a
 }
 
 // Current returns the published snapshot (lock-free).
@@ -97,9 +143,13 @@ func (p *Plane) At(epoch uint64) (*Snapshot, error) {
 //dialint:hotpath
 func (p *Plane) Epoch() uint64 { return p.snap.Load().Epoch }
 
-// publishLocked rebuilds dirty shard summaries, reconciles the global
-// state, and atomically swaps in the next snapshot. Callers hold p.mu.
-// The reconciliation is recorded as a plane.publish child span of the
+// publishLocked builds a fresh segment for every dirty shard,
+// reconciles the global state from all segments, and atomically swaps
+// in the next snapshot. Callers hold p.mu. Clean shards' segments are
+// reused by pointer, so a publish costs O(dirty pages · pageSize +
+// shards · |S| + |S|²) plus a copy of each dirty shard's page table
+// (one pointer per pageSize clients). The
+// reconciliation is recorded as a plane.publish child span of the
 // context's span (if traced) and every epoch bump lands in the flight
 // recorder's epoch journal.
 func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
@@ -108,50 +158,39 @@ func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 	defer sp.End()
 	ns := len(p.opts.Servers)
 	p.epoch++
-	dirty := 0
-	for _, sh := range p.shards {
-		if sh.dirty {
-			dirty++
-		}
-	}
 	snap := &Snapshot{
-		Epoch:      p.epoch,
-		Assignment: make([]int, len(p.opts.Clients)),
-		Loads:      make([]int, ns),
-		MaxRho:     p.maxRho,
-		Shards:     make([]ShardSummary, len(p.shards)),
-		Alive:      append([]bool(nil), p.alive...),
+		Epoch:       p.epoch,
+		Loads:       make([]int, ns),
+		MaxRho:      p.maxRho,
+		Shards:      make([]*Segment, len(p.shards)),
+		Alive:       append([]bool(nil), p.alive...),
+		clientShard: p.clientShard,
+		clientLocal: p.clientLocal,
 	}
 
 	// Merged eccentricities: a server's true eccentricity over the
 	// whole population is the max of its per-shard values, because the
 	// shards partition the clients (max over a disjoint union = max of
 	// per-part maxima, exactly, in floats as in reals).
-	ecc := make([]float64, ns)
-	bound := make([]float64, ns)
+	ecc, bound := p.eccMerge, p.boundMerge
 	for k := range ecc {
 		ecc[k], bound[k] = -1, -1
 	}
+	dirty := 0
 	for _, sh := range p.shards {
 		if sh.dirty {
-			sh.rebuildSummary(p)
-			sh.dirty = false
-			sh.summaryEpoch = p.epoch
+			sh.publishSegment(p, p.epoch)
+			dirty++
 		}
-		snap.Shards[sh.id] = sh.summary
-		snap.Active += sh.summary.Active
-		for i, c := range sh.clients {
-			s := sh.ev.ServerOf(i)
-			snap.Assignment[c] = s
-			if s != core.Unassigned {
-				snap.Loads[s]++
-			}
-		}
+		seg := sh.seg
+		snap.Shards[sh.id] = seg
+		snap.Active += seg.Active
 		for k := 0; k < ns; k++ {
-			if v := sh.summary.Ecc[k]; v > ecc[k] {
+			snap.Loads[k] += seg.Loads[k]
+			if v := seg.Ecc[k]; v > ecc[k] {
 				ecc[k] = v
 			}
-			if v := sh.summary.BoundEcc[k]; v > bound[k] {
+			if v := seg.BoundEcc[k]; v > bound[k] {
 				bound[k] = v
 			}
 		}
@@ -160,20 +199,63 @@ func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 	snap.CertifiedD = eccPairMax(p.ss, bound)
 	p.snap.Store(snap)
 	p.met.published(snap, time.Since(start).Seconds())
-	// Guarded so an uninstrumented publish skips attr rendering: both
-	// calls are nil-safe no-ops, but their arguments are built eagerly
-	// and every mutation passes through here.
+	// Guarded so an uninstrumented publish skips building the attrs:
+	// both calls are nil-safe no-ops, but their arguments are built
+	// eagerly and every mutation passes through here.
 	if sp != nil {
 		sp.SetAttr(obs.Uint("epoch", snap.Epoch), obs.Int("dirty", dirty),
 			obs.F64("d", snap.D), obs.F64("certifiedD", snap.CertifiedD),
 			obs.Int("active", snap.Active))
 	}
 	if p.jEpoch != nil {
-		p.jEpoch.Record("publish", sp.TraceID(),
+		p.jEpoch.RecordAt(start, "publish", sp.TraceID(),
 			obs.Uint("epoch", snap.Epoch), obs.Int("dirty", dirty),
 			obs.F64("d", snap.D), obs.Int("active", snap.Active))
 	}
 	return snap
+}
+
+// publishSegment replaces the shard's segment with a fresh one built at
+// epoch: the summary and loads from the evaluator (O(|S|)), the
+// certified bound from the incrementally kept boundEcc, a copy of the
+// page table, and a copy of each dirty assignment page; every other
+// page is shared with the previous segment. Callers hold p.mu.
+func (sh *shardState) publishSegment(p *Plane, epoch uint64) {
+	ns := len(p.opts.Servers)
+	vals := make([]float64, 2*ns)
+	seg := &Segment{
+		ShardSummary: ShardSummary{
+			Shard:    sh.id,
+			Active:   sh.active,
+			D:        sh.ev.D(),
+			Ecc:      vals[:ns:ns],
+			BoundEcc: vals[ns:],
+		},
+		Epoch: epoch,
+		Loads: make([]int, ns),
+		pages: append([][]int(nil), sh.seg.pages...),
+	}
+	for k := 0; k < ns; k++ {
+		seg.Ecc[k] = sh.ev.Eccentricity(k)
+		seg.Loads[k] = sh.ev.Load(k)
+	}
+	// After coordinate drift the cell geometry no longer describes the
+	// live metric, so the only honest certificate is the exact value.
+	if p.drifted {
+		copy(seg.BoundEcc, seg.Ecc)
+	} else {
+		copy(seg.BoundEcc, sh.boundEcc)
+	}
+	for g, dirty := range sh.pageDirty {
+		if dirty {
+			page := make([]int, min(pageSize, len(sh.clients)-g*pageSize))
+			sh.ev.CopyAssignment(page, g*pageSize)
+			seg.pages[g] = page
+			sh.pageDirty[g] = false
+		}
+	}
+	sh.seg = seg
+	sh.dirty = false
 }
 
 // ShardHealth is one shard's health line as exposed by /healthz: its
@@ -197,56 +279,12 @@ func (p *Plane) Health() []ShardHealth {
 	for i, sh := range p.shards {
 		out[i] = ShardHealth{
 			Shard:        sh.id,
-			SummaryEpoch: sh.summaryEpoch,
+			SummaryEpoch: sh.seg.Epoch,
 			Active:       sh.active,
 			LastRepair:   sh.lastRepair,
 		}
 	}
 	return out
-}
-
-// rebuildSummary refreshes one shard's published summary from its
-// evaluator (exact eccentricities) and its cell-level loads (certified
-// bounds).
-func (sh *shardState) rebuildSummary(p *Plane) {
-	ns := len(p.opts.Servers)
-	sum := ShardSummary{
-		Shard:    sh.id,
-		Active:   sh.active,
-		D:        sh.ev.D(),
-		Ecc:      make([]float64, ns),
-		BoundEcc: make([]float64, ns),
-	}
-	for k := 0; k < ns; k++ {
-		sum.Ecc[k] = sh.ev.Eccentricity(k)
-		sum.BoundEcc[k] = -1
-	}
-	// After coordinate drift the cell geometry no longer describes the
-	// live metric, so the only honest certificate is the exact value.
-	if p.drifted {
-		copy(sum.BoundEcc, sum.Ecc)
-		sh.summary = sum
-		return
-	}
-	// Cell-level certified bound: for every occupied (cell, server)
-	// pair, rep-to-server latency plus the cell radius dominates every
-	// member's true distance by the coordinate triangle inequality.
-	// Iteration order over the map cannot affect the result — max is
-	// order-independent — but the summary itself is fully determined by
-	// the (cell, server) occupancy, which is deterministic.
-	//lint:ignore dialint/map-iter-order pure max fold; max is commutative and associative, so iteration order cannot reach the summary
-	for j, row := range sh.cellLoad {
-		rd := p.repDist[j]
-		rho := p.cells[j].Rho
-		for k, n := range row {
-			if n > 0 {
-				if v := rd[k] + rho; v > sum.BoundEcc[k] {
-					sum.BoundEcc[k] = v
-				}
-			}
-		}
-	}
-	sh.summary = sum
 }
 
 // eccPairMax is the canonical eccentricity pair scan (the scalar form

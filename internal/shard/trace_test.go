@@ -117,7 +117,7 @@ func TestPlaneOpSpanShape(t *testing.T) {
 	}
 	attrs := map[string]string{}
 	for _, a := range join.Attrs {
-		attrs[a.Key] = a.Value
+		attrs[a.Key] = a.Value()
 	}
 	for _, key := range []string{"client", "shard", "server", "epoch", "d"} {
 		if _, ok := attrs[key]; !ok {
@@ -182,7 +182,7 @@ func TestPlaneJournals(t *testing.T) {
 	cur := p.Current()
 	last := map[string]string{}
 	for _, a := range ep[len(ep)-1].Attrs {
-		last[a.Key] = a.Value
+		last[a.Key] = a.Value()
 	}
 	if got, want := last["epoch"], fmt.Sprint(cur.Epoch); got != want {
 		t.Fatalf("latest epoch journal event epoch = %q, want %q", got, want)
