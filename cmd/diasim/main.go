@@ -33,15 +33,19 @@
 //	diasim -scenario storm -strategy always-rebalance -cap 30
 //	diasim -scenario flashcrowd -chaos -delta-factor 1.3
 //
-// Observability: -trace-algo logs every assignment-algorithm step (the
-// Greedy batch picks, the Distributed-Greedy D trajectory, annealing
-// temperatures); -metrics-addr serves /metrics and /debug/vars for the
+// Observability: -trace-algo records the assignment algorithm's steps
+// as events on one sampled span and logs each at debug level (Greedy's
+// greedy.batch picks, Distributed-Greedy's dg.init/dg.move D trajectory,
+// annealing's anneal.best improvements with their temperatures);
+// -metrics-addr serves /metrics and /debug/vars for the
 // duration of the run; -pprof adds /debug/pprof/ to that listener.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
@@ -139,22 +143,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var hook obs.AlgoTrace
-	if *traceAlgo {
-		hook = obs.LogTrace(logger)
-	}
-	if reg != nil {
-		hook = obs.Tee(hook, obs.MetricsTrace(reg))
-	}
-	if hook != nil {
-		traced, ok := assign.WithTrace(alg, hook)
-		if ok {
-			alg = traced
-		} else if *traceAlgo {
-			logger.Warn("algorithm does not support tracing", "algorithm", alg.Name())
-		}
-	}
-	a, err := alg.Assign(in, nil)
+	a, err := assignTraced(alg, in, *traceAlgo, logger)
 	if err != nil {
 		fatal(err)
 	}
@@ -247,4 +236,32 @@ func loadMatrix(preset string, seed int64) (latency.Matrix, error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "diasim:", err)
 	os.Exit(1)
+}
+
+// assignTraced runs alg on in. With trace set, the run records its
+// steps as events on one always-sampled span, and each event is logged
+// at debug level once the run ends.
+func assignTraced(alg assign.Algorithm, in *core.Instance, trace bool, logger *slog.Logger) (core.Assignment, error) {
+	if !trace {
+		return alg.Assign(in, nil)
+	}
+	tracer := obs.NewTracer(obs.TracerOptions{SampleRate: 1, Capacity: 1})
+	_, sp := tracer.Root(context.Background(), "diasim.assign")
+	traced, ok := assign.WithSpan(alg, sp)
+	if !ok {
+		logger.Warn("algorithm does not support tracing", "algorithm", alg.Name())
+	}
+	a, err := traced.Assign(in, nil)
+	sp.End()
+	for _, rec := range tracer.Snapshot() {
+		for _, ev := range rec.Events {
+			args := make([]any, 0, 2+len(ev.Attrs))
+			args = append(args, slog.String("algorithm", alg.Name()), slog.String("event", ev.Name))
+			for _, at := range ev.Attrs {
+				args = append(args, slog.String(at.Key, at.Value()))
+			}
+			logger.Debug("algo step", args...)
+		}
+	}
+	return a, err
 }

@@ -28,11 +28,11 @@ type Anneal struct {
 	// StartTemp and EndTemp bound the geometric cooling schedule as
 	// fractions of the initial D (defaults 0.05 and 0.0001).
 	StartTemp, EndTemp float64
-	// Trace, if non-nil, observes every accepted move (obs.KindAnneal)
-	// with the temperature at acceptance — the live view of the cooling
-	// schedule. Rejected proposals are not traced: with 200·|C| steps
-	// they would swamp any consumer.
-	Trace obs.AlgoTrace
+	// Span, if non-nil, receives one anneal.best event per new best D,
+	// with the temperature at that step, and the accepted and steps
+	// counts as attrs at the end. Other moves are not traced: with
+	// 200·|C| steps they would swamp the span.
+	Span *obs.Span
 }
 
 // Name implements Algorithm.
@@ -101,19 +101,18 @@ func (an Anneal) Assign(in *core.Instance, caps core.Capacities) (core.Assignmen
 			ev.Move(c, s)
 			d = nd
 			accepted++
-			if an.Trace != nil {
-				an.Trace(obs.AlgoEvent{
-					Algorithm: an.Name(), Kind: obs.KindAnneal, Step: accepted,
-					D: d, Temp: temp, Client: c, Server: s,
-				})
-			}
 			if d < bestD-eps {
 				bestD = d
 				best = ev.Assignment()
+				if an.Span != nil {
+					an.Span.Event("anneal.best", obs.Int("step", step+1), obs.F64("d", d),
+						obs.F64("temp", temp), obs.Int("client", c), obs.Int("server", s))
+				}
 			}
 		}
 		temp *= cool
 	}
+	an.Span.SetAttr(obs.Int("accepted", accepted), obs.Int("steps", steps))
 	return best, nil
 }
 

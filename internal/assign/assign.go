@@ -86,21 +86,21 @@ func ByNameSeeded(name string, seed int64) (Algorithm, error) {
 	return nil, fmt.Errorf("assign: unknown algorithm %q", name)
 }
 
-// WithTrace returns a copy of alg with its per-iteration trace hook set.
-// Greedy, Distributed-Greedy, and Anneal support tracing; other
-// algorithms are returned unchanged with traced == false. The hook is
-// installed on the returned copy only, so shared algorithm values (e.g.
-// the registry returned by All) are never mutated.
-func WithTrace(alg Algorithm, t obs.AlgoTrace) (traced Algorithm, ok bool) {
+// WithSpan returns a copy of alg that records its steps as events on
+// sp. Greedy, Distributed-Greedy, and Anneal support it; other
+// algorithms are returned unchanged with traced == false. The span is
+// set on the returned copy only, so shared algorithm values (e.g. the
+// registry returned by All) are never mutated.
+func WithSpan(alg Algorithm, sp *obs.Span) (traced Algorithm, ok bool) {
 	switch a := alg.(type) {
 	case Greedy:
-		a.Trace = t
+		a.Span = sp
 		return a, true
 	case DistributedGreedy:
-		a.Trace = t
+		a.Span = sp
 		return a, true
 	case Anneal:
-		a.Trace = t
+		a.Span = sp
 		return a, true
 	}
 	return alg, false

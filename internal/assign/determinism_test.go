@@ -10,35 +10,36 @@ import (
 	"diacap/internal/obs"
 )
 
-// fingerprint renders an assignment and its algorithm trace into one
-// string, so two runs can be compared byte for byte. Every float is
-// printed with %v: identical bits produce identical text, and any bit
-// of divergence shows up in the diff.
-func fingerprint(a core.Assignment, events []obs.AlgoEvent) string {
+// fingerprint renders an assignment and the span its run recorded into
+// one string, so two runs can be compared byte for byte. Floats render
+// at shortest round-trip precision: identical bits produce identical
+// text, and any bit of divergence shows up in the diff. Event offsets
+// are wall-clock time and stay out.
+func fingerprint(a core.Assignment, rec obs.SpanRecord) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "assignment=%v\n", []int(a))
-	for i, e := range events {
-		fmt.Fprintf(&b, "%d: %+v\n", i, e)
+	fmt.Fprintf(&b, "attrs=%v\n", rec.Attrs)
+	for i, ev := range rec.Events {
+		fmt.Fprintf(&b, "%d: %s %v\n", i, ev.Name, ev.Attrs)
 	}
 	return b.String()
 }
 
-// tracedRun executes one algorithm run with a fresh trace collector.
+// tracedRun executes one algorithm run recording into a sampled span.
 func tracedRun(t *testing.T, name string, seed int64, in *core.Instance) string {
 	t.Helper()
 	alg, err := ByNameSeeded(name, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []obs.AlgoEvent
-	if traced, ok := WithTrace(alg, obs.Collect(&events)); ok {
-		alg = traced
-	}
-	a, err := alg.Assign(in, nil)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	return fingerprint(a, events)
+	var a core.Assignment
+	rec := tracedRecord(t, func(sp *obs.Span) {
+		alg, _ = WithSpan(alg, sp)
+		if a, err = alg.Assign(in, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	})
+	return fingerprint(a, rec)
 }
 
 // TestSeededRunsAreByteIdentical is the determinism regression gate: the

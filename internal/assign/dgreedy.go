@@ -39,11 +39,11 @@ type DistributedGreedy struct {
 	// The paper's Fig. 9 plots interactivity after each modification; the
 	// bound supports generating that curve.
 	MaxModifications int
-	// Trace, if non-nil, observes the run live: one obs.KindInit event
-	// with the initial D, then one obs.KindMove event per reassignment
-	// carrying the monotone non-increasing D trajectory (the Section IV-D
-	// guarantee, asserted in tests).
-	Trace obs.AlgoTrace
+	// Span, if non-nil, receives one dg.init event with the initial D,
+	// then one dg.move event per reassignment carrying the monotone
+	// non-increasing D trajectory (the Section IV-D guarantee, asserted
+	// in tests).
+	Span *obs.Span
 }
 
 // NewDistributedGreedy returns the paper's configuration: Nearest-Server
@@ -104,11 +104,8 @@ func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capaciti
 	loads := in.Loads(a)
 	trace := &Trace{InitialD: in.MaxInteractionPath(a)}
 	d := trace.InitialD
-	if g.Trace != nil {
-		g.Trace(obs.AlgoEvent{
-			Algorithm: g.Name(), Kind: obs.KindInit, Step: 0,
-			D: trace.InitialD, Client: -1, Server: -1,
-		})
+	if g.Span != nil {
+		g.Span.Event("dg.init", obs.F64("d", d))
 	}
 
 	// reach(c) = d(c, sA(c)) + max_t (d(sA(c), t) + ecc(t)) is the length
@@ -205,11 +202,9 @@ func (g DistributedGreedy) AssignWithTrace(in *core.Instance, caps core.Capaciti
 			newD := in.MaxInteractionPath(a)
 			trace.DAfter = append(trace.DAfter, newD)
 			trace.Moves = append(trace.Moves, c)
-			if g.Trace != nil {
-				g.Trace(obs.AlgoEvent{
-					Algorithm: g.Name(), Kind: obs.KindMove, Step: trace.Modifications(),
-					D: newD, Client: c, Server: bestS,
-				})
+			if g.Span != nil {
+				g.Span.Event("dg.move", obs.Int("step", trace.Modifications()), obs.F64("d", newD),
+					obs.Int("client", c), obs.Int("server", bestS))
 			}
 			if newD < d-eps {
 				d = newD

@@ -27,10 +27,10 @@ import (
 // the prefixes of Ls that fit, so a selected batch fills the server at
 // most exactly to capacity.
 type Greedy struct {
-	// Trace, if non-nil, observes every batch pick (obs.KindBatch) with
-	// the chosen pair's Δl and Δn. A nil hook costs one comparison per
-	// batch, outside the pair scan.
-	Trace obs.AlgoTrace
+	// Span, if non-nil, receives one greedy.batch event per batch pick
+	// with the chosen pair's Δl and Δn. A nil span costs one comparison
+	// per batch, outside the pair scan.
+	Span *obs.Span
 }
 
 // Name implements Algorithm.
@@ -38,7 +38,7 @@ func (Greedy) Name() string { return "Greedy" }
 
 // Assign implements Algorithm.
 func (g Greedy) Assign(in *core.Instance, caps core.Capacities) (core.Assignment, error) {
-	return greedyAssign(in, caps, true, g.Trace)
+	return greedyAssign(in, caps, true, g.Span)
 }
 
 // GreedyPlainDelta is the ablation of Greedy's cost rule: it selects the
@@ -60,7 +60,7 @@ func (GreedyPlainDelta) Assign(in *core.Instance, caps core.Capacities) (core.As
 
 // greedyAssign is the shared engine; amortized selects the paper's Δl/Δn
 // cost (true) or the ablation's plain Δl (false).
-func greedyAssign(in *core.Instance, caps core.Capacities, amortized bool, trace obs.AlgoTrace) (core.Assignment, error) {
+func greedyAssign(in *core.Instance, caps core.Capacities, amortized bool, sp *obs.Span) (core.Assignment, error) {
 	if err := validateInputs(in, caps); err != nil {
 		return nil, err
 	}
@@ -160,12 +160,10 @@ func greedyAssign(in *core.Instance, caps core.Capacities, amortized bool, trace
 
 		// Stage 2: assign the batch — the first Δn unassigned clients of
 		// Ls[bestS] (all clients not farther from bestS than bestC).
-		if trace != nil {
-			trace(obs.AlgoEvent{
-				Algorithm: "Greedy", Kind: obs.KindBatch, Step: step,
-				D: bestLen, DeltaL: bestLen - maxLen, DeltaN: index[bestS][bestC],
-				Client: bestC, Server: bestS,
-			})
+		if sp != nil {
+			sp.Event("greedy.batch", obs.Int("step", step), obs.F64("d", bestLen),
+				obs.F64("deltaL", bestLen-maxLen), obs.Int("deltaN", index[bestS][bestC]),
+				obs.Int("client", bestC), obs.Int("server", bestS))
 		}
 		maxLen = bestLen
 		want := index[bestS][bestC]

@@ -401,12 +401,10 @@ func (g Greedy) AssignWeighted(in *core.Instance, weights Weights, caps core.Cap
 				break
 			}
 		}
-		if g.Trace != nil {
-			g.Trace(obs.AlgoEvent{
-				Algorithm: g.Name(), Kind: obs.KindBatch, Step: step,
-				D: bestLen, DeltaL: bestLen - maxLen, DeltaN: batchW,
-				Client: bestC, Server: bestS,
-			})
+		if g.Span != nil {
+			g.Span.Event("greedy.batch", obs.Int("step", step), obs.F64("d", bestLen),
+				obs.F64("deltaL", bestLen-maxLen), obs.Int("deltaN", batchW),
+				obs.Int("client", bestC), obs.Int("server", bestS))
 		}
 		maxLen = bestLen
 	}

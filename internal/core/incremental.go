@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Typed errors for the delta operations (ApplyJoin / ApplyLeave /
@@ -440,6 +441,13 @@ func (st *incState) eccChanged(s int, wasUsed bool) {
 // compared for cancellation by their exact bit patterns — a removed
 // value is always one that was previously pushed, so bit equality is
 // the correct (and deterministic) match.
+//
+// A tombstone below the top cancels only once it surfaces, so while a
+// server's farthest client stays, every join/leave would leave one
+// dead and one stale live entry behind. compact bounds that: once the
+// tombstones outnumber half the live multiset, both heaps are
+// cancelled against each other in one pass, keeping len(live) +
+// len(dead) ≤ 2·n for n live distances.
 type maxTracker struct {
 	live floatMaxHeap
 	dead floatMaxHeap
@@ -453,6 +461,35 @@ func (t *maxTracker) push(v float64) {
 func (t *maxTracker) remove(v float64) {
 	t.dead.push(v)
 	t.settle()
+	if 2*len(t.dead) > len(t.live)-len(t.dead) {
+		t.compact()
+	}
+}
+
+// compact sorts both heaps descending in place — a descending slice is
+// already a max-heap — and cancels every tombstone against a live entry
+// with the same bit pattern. O(n log n), paid once per ≥ n/2 removals.
+func (t *maxTracker) compact() {
+	live, dead := t.live, t.dead
+	sortDescending(live)
+	sortDescending(dead)
+	w, j := 0, 0
+	for _, v := range live {
+		if j < len(dead) && math.Float64bits(dead[j]) == math.Float64bits(v) {
+			j++
+			continue
+		}
+		live[w] = v
+		w++
+	}
+	t.live, t.dead = live[:w], dead[:copy(dead, dead[j:])]
+}
+
+// sortDescending sorts v largest first. slices.Sort is specialized for
+// float64, several times faster than a comparator-driven sort.
+func sortDescending(v []float64) {
+	slices.Sort(v)
+	slices.Reverse(v)
 }
 
 // settle cancels deferred deletions sitting at the top of both heaps.

@@ -22,7 +22,6 @@ import (
 	"math"
 
 	"diacap/internal/core"
-	"diacap/internal/obs"
 	"diacap/internal/sim"
 )
 
@@ -79,10 +78,6 @@ type Options struct {
 	Drop func(msg sim.Message) bool
 	// MaxRetries bounds per-message retransmissions (0 = default 5).
 	MaxRetries int
-	// Trace, if non-nil, observes the protocol's convergence live: one
-	// obs.KindInit event with the initial D, then one obs.KindMove event
-	// per adopted reassignment, mirroring Result.Trace.
-	Trace obs.AlgoTrace
 }
 
 // Result reports the protocol outcome.
@@ -139,7 +134,6 @@ type protocol struct {
 	done       bool
 	failure    error
 	maxRetries int
-	trace      obs.AlgoTrace
 	// settle is one maximum inter-server delay: the protocol pauses this
 	// long after every l-table change before the next decision, so every
 	// decision runs on a quiesced view (real deployments would use the
@@ -166,7 +160,7 @@ func RunWithOptions(in *core.Instance, caps core.Capacities, initial core.Assign
 	}
 
 	ns := in.NumServers()
-	p := &protocol{in: in, caps: caps, eng: &sim.Engine{}, res: &Result{}, maxRetries: opts.MaxRetries, trace: opts.Trace}
+	p := &protocol{in: in, caps: caps, eng: &sim.Engine{}, res: &Result{}, maxRetries: opts.MaxRetries}
 	if p.maxRetries <= 0 {
 		p.maxRetries = 5
 	}
@@ -194,12 +188,6 @@ func RunWithOptions(in *core.Instance, caps core.Capacities, initial core.Assign
 	p.res.Assignment = initial.Clone()
 	p.res.InitialD = in.MaxInteractionPath(initial)
 	p.res.FinalD = p.res.InitialD
-	if p.trace != nil {
-		p.trace(obs.AlgoEvent{
-			Algorithm: "Distributed-Greedy-Protocol", Kind: obs.KindInit, Step: 0,
-			D: p.res.InitialD, Client: -1, Server: -1,
-		})
-	}
 
 	// Bootstrap: every server measures its longest client distance and
 	// broadcasts it at time 0. Server 0 starts the token only after every
@@ -553,12 +541,6 @@ func (sv *server) handleReassign(m reassign) {
 	p.res.Assignment[m.client] = sv.idx
 	p.res.Modifications++
 	p.res.Trace = append(p.res.Trace, in.MaxInteractionPath(p.res.Assignment))
-	if p.trace != nil {
-		p.trace(obs.AlgoEvent{
-			Algorithm: "Distributed-Greedy-Protocol", Kind: obs.KindMove, Step: p.res.Modifications,
-			D: p.res.Trace[len(p.res.Trace)-1], Client: m.client, Server: sv.idx,
-		})
-	}
 	// Broadcast the new l and ack the old owner.
 	targets := make([]int, in.NumServers())
 	for i := range targets {

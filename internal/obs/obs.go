@@ -1,10 +1,11 @@
 // Package obs is the observability substrate of the repository: a
 // dependency-free metrics core (atomic counters, gauges, and fixed-bucket
 // histograms behind a Registry with Prometheus text-format and JSON
-// exposition), structured logging built on log/slog, and the AlgoTrace
-// hook that assignment algorithms call per iteration so their convergence
-// behavior — the paper's central quantitative story — is observable in a
-// running system rather than only in offline experiment logs.
+// exposition), structured logging built on log/slog, and sampled spans
+// with W3C trace-context propagation. Assignment algorithms record their
+// steps as events on a span, so their convergence behavior — the paper's
+// central quantitative story — is observable in a running system rather
+// than only in offline experiment logs.
 //
 // Everything here is plain standard library: the serving layers
 // (internal/service, internal/live, internal/scale) instrument themselves

@@ -85,7 +85,8 @@ func TestInstrumentCountsRequests(t *testing.T) {
 
 func TestAssignRecordsDGauge(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(Options{MaxNodes: 256, Metrics: reg})
+	tr := obs.NewTracer(obs.TracerOptions{SampleRate: 1, Seed: 9})
+	s := New(Options{MaxNodes: 256, Metrics: reg, Tracer: tr})
 	rec := postJSON(t, s, "/v1/assign", map[string]any{
 		"matrix":    smallMatrix(t),
 		"servers":   []int{0, 1, 2},
@@ -105,10 +106,21 @@ func TestAssignRecordsDGauge(t *testing.T) {
 	if h := reg.Histogram(nAssignSec, "", obs.SecondsBuckets, obs.L("algorithm", "Greedy")); h.Count() != 1 {
 		t.Errorf("assign-seconds observations = %d, want 1", h.Count())
 	}
-	// The traced run also feeds the algorithm-progress metrics.
-	if got := reg.Counter("diacap_algo_steps_total", "",
-		obs.L("algorithm", "Greedy"), obs.L("kind", obs.KindBatch)).Value(); got == 0 {
-		t.Error("no algo batch steps recorded through the service trace hook")
+	// A sampled request records Greedy's batch picks as events on its
+	// service.compute span.
+	batches := 0
+	for _, sp := range tr.Snapshot() {
+		if sp.Name != "service.compute" {
+			continue
+		}
+		for _, ev := range sp.Events {
+			if ev.Name == "greedy.batch" {
+				batches++
+			}
+		}
+	}
+	if batches == 0 {
+		t.Error("no greedy.batch events on the service.compute span")
 	}
 }
 

@@ -135,7 +135,6 @@ func (o *Options) fill() {
 type Server struct {
 	opts      Options
 	log       *slog.Logger
-	algoTrace obs.AlgoTrace
 	mux       *http.ServeMux
 	handler   http.Handler
 	admission *admission
@@ -182,7 +181,6 @@ func New(opts Options) *Server {
 	}
 	h = recoverJSON(h)
 	if opts.Metrics != nil {
-		s.algoTrace = obs.MetricsTrace(opts.Metrics)
 		h = s.instrument(h)
 	}
 	// Outermost: the root span must exist before instrument reads it for
@@ -381,7 +379,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		s.opts.testHookAssign()
 	}
 	_, csp := obs.Child(r.Context(), "service.compute")
-	resp, err := s.doAssign(&req)
+	resp, err := s.doAssign(&req, csp)
 	if resp != nil {
 		csp.SetAttr(obs.Str("algorithm", resp.Algorithm), obs.F64("d", resp.D))
 	}
@@ -399,7 +397,9 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) doAssign(req *AssignRequest) (*AssignResponse, error) {
+// doAssign runs one assignment; a non-nil sp receives the algorithm's
+// step events.
+func (s *Server) doAssign(req *AssignRequest, sp *obs.Span) (*AssignResponse, error) {
 	if len(req.Matrix) == 0 {
 		return nil, badRequest("matrix is required")
 	}
@@ -429,11 +429,9 @@ func (s *Server) doAssign(req *AssignRequest) (*AssignResponse, error) {
 	if err != nil {
 		return nil, badRequest("unknown algorithm %q", name)
 	}
-	if s.algoTrace != nil {
-		// Copy semantics: WithTrace hooks the per-request copy only.
-		if traced, ok := assign.WithTrace(alg, s.algoTrace); ok {
-			alg = traced
-		}
+	if sp != nil {
+		// Copy semantics: WithSpan sets the per-request copy only.
+		alg, _ = assign.WithSpan(alg, sp)
 	}
 	var caps core.Capacities
 	if req.Capacities != nil {
