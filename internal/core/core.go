@@ -26,7 +26,8 @@ var ErrInvalidInstance = errors.New("core: invalid instance")
 var ErrInvalidAssignment = errors.New("core: invalid assignment")
 
 // Instance is one client assignment problem: a network latency matrix plus
-// the subsets of nodes acting as servers and clients.
+// the subsets of nodes acting as servers and clients. An instance built
+// from coordinates has no matrix, only the two distance tables below.
 //
 // Servers and Clients hold node indices into the matrix. A node may appear
 // in both sets (a machine can host a server and a participant). Instances
@@ -100,25 +101,116 @@ func NewInstanceTrusted(m latency.Matrix, servers, clients []int) (*Instance, er
 		servers: append([]int(nil), servers...),
 		clients: append([]int(nil), clients...),
 	}
-	inst.csF = perfkit.NewFlatMatrix(len(clients), len(servers))
-	inst.cs = make([][]float64, len(clients))
+	inst.allocTables()
 	for i, c := range inst.clients {
-		row := inst.csF.Row(i)
+		row := inst.cs[i]
 		for k, s := range inst.servers {
 			row[k] = m[c][s]
 		}
-		inst.cs[i] = row
 	}
-	inst.ssF = perfkit.NewFlatMatrix(len(servers), len(servers))
-	inst.ss = make([][]float64, len(servers))
 	for k, s := range inst.servers {
-		row := inst.ssF.Row(k)
+		row := inst.ss[k]
 		for l, s2 := range inst.servers {
 			row[l] = m[s][s2]
 		}
-		inst.ss[k] = row
 	}
 	return inst, nil
+}
+
+// NewCoordInstance builds an instance over coordinates straight from its
+// client→server and server→server distances, never materializing the
+// (|S|+|C|)² node matrix: D, the lower bound and the offsets read no
+// client→client distance. Node ids follow the [servers ∥ clients]
+// layout (server k is node k, client i node |S|+i), and every table
+// entry is bit-identical to NewInstanceTrusted over
+// latency.CoordsToMatrix(servers ∥ clients) with those node ids — the
+// lower node index is the LatencyTo receiver and the floor is
+// latency.MinCoordLatency. Matrix returns nil.
+func NewCoordInstance(servers, clients []latency.Coord) (*Instance, error) {
+	if len(servers) == 0 {
+		return nil, fmt.Errorf("%w: no servers", ErrInvalidInstance)
+	}
+	if len(clients) == 0 {
+		return nil, fmt.Errorf("%w: no clients", ErrInvalidInstance)
+	}
+	ns := len(servers)
+	inst := &Instance{
+		servers: make([]int, ns),
+		clients: make([]int, len(clients)),
+	}
+	for k := range inst.servers {
+		inst.servers[k] = k
+	}
+	for i := range inst.clients {
+		inst.clients[i] = ns + i
+	}
+	inst.allocTables()
+	for i, c := range clients {
+		row := inst.cs[i]
+		for k, s := range servers {
+			row[k] = latency.FlooredLatency(s, c)
+		}
+	}
+	for k := range servers {
+		for l := k + 1; l < ns; l++ {
+			v := latency.FlooredLatency(servers[k], servers[l])
+			inst.ss[k][l], inst.ss[l][k] = v, v
+		}
+	}
+	return inst, nil
+}
+
+// Restrict returns the sub-instance over a subset of this instance's
+// clients, given as distinct instance-local indices: client i of the
+// result is client clients[i] here. The server tables are shared, the
+// chosen client→server rows copied, and the matrix and node ids kept, so
+// the result is bit-identical to NewInstanceTrusted(in.Matrix(), server
+// nodes, chosen client nodes) and answers Matrix exactly as in does.
+func (in *Instance) Restrict(clients []int) (*Instance, error) {
+	if len(clients) == 0 {
+		return nil, fmt.Errorf("%w: no clients", ErrInvalidInstance)
+	}
+	seen := make([]bool, len(in.clients))
+	sub := &Instance{
+		m:       in.m,
+		servers: in.servers,
+		clients: make([]int, len(clients)),
+		ss:      in.ss,
+		ssF:     in.ssF,
+	}
+	sub.csF = perfkit.NewFlatMatrix(len(clients), len(in.servers))
+	sub.cs = flatRows(sub.csF, len(clients))
+	for i, c := range clients {
+		if c < 0 || c >= len(in.clients) {
+			return nil, fmt.Errorf("%w: client %d out of range [0,%d)", ErrInvalidInstance, c, len(in.clients))
+		}
+		if seen[c] {
+			return nil, fmt.Errorf("%w: duplicate client %d", ErrInvalidInstance, c)
+		}
+		seen[c] = true
+		sub.clients[i] = in.clients[c]
+		copy(sub.cs[i], in.cs[c])
+	}
+	return sub, nil
+}
+
+// allocTables allocates the zeroed client→server and server→server
+// tables for the instance's node sets.
+func (in *Instance) allocTables() {
+	nc, ns := len(in.clients), len(in.servers)
+	in.csF = perfkit.NewFlatMatrix(nc, ns)
+	in.cs = flatRows(in.csF, nc)
+	in.ssF = perfkit.NewFlatMatrix(ns, ns)
+	in.ss = flatRows(in.ssF, ns)
+}
+
+// flatRows returns the first n row views of f.
+func flatRows(f *perfkit.FlatMatrix, n int) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = f.Row(i)
+	}
+	return rows
 }
 
 // NumServers returns |S|.
@@ -133,7 +225,10 @@ func (in *Instance) ServerNode(k int) int { return in.servers[k] }
 // ClientNode returns the matrix node index of client i.
 func (in *Instance) ClientNode(i int) int { return in.clients[i] }
 
-// Matrix returns the underlying latency matrix. Callers must not mutate it.
+// Matrix returns the underlying latency matrix, or nil for an instance
+// built from coordinates (NewCoordInstance) and its restrictions, which
+// hold only the client→server and server→server tables. Callers must
+// not mutate it.
 func (in *Instance) Matrix() latency.Matrix { return in.m }
 
 // ClientServerDist returns d(client i, server k) using instance-local

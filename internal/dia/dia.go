@@ -38,6 +38,11 @@ import (
 // timeEps absorbs floating-point noise when comparing virtual times.
 const timeEps = 1e-6
 
+// ErrNoLatency reports a Run over an instance without a latency matrix
+// (one built from coordinates, see core.NewCoordInstance) when
+// Config.Latency does not supply the message latency instead.
+var ErrNoLatency = errors.New("dia: instance has no latency matrix and Config.Latency is nil")
+
 // Operation is one user-initiated operation of the DIA.
 type Operation struct {
 	// ID is unique per workload.
@@ -233,6 +238,9 @@ func Run(cfg Config) (*Result, error) {
 	in := cfg.Instance
 	if in == nil {
 		return nil, errors.New("dia: nil instance")
+	}
+	if cfg.Latency == nil && in.Matrix() == nil {
+		return nil, ErrNoLatency
 	}
 	if err := in.Validate(cfg.Assignment); err != nil {
 		return nil, fmt.Errorf("dia: %w", err)

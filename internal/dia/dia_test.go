@@ -1,6 +1,7 @@
 package dia
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -311,6 +312,17 @@ func TestRunValidation(t *testing.T) {
 				t.Fatal("Run should fail")
 			}
 		})
+	}
+}
+
+func TestRunWithoutMatrixIsErrNoLatency(t *testing.T) {
+	in, err := core.NewCoordInstance([]latency.Coord{{X: 0}, {X: 10}}, []latency.Coord{{X: 1}, {X: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(Config{Instance: in, Assignment: core.Assignment{0, 1}, Delta: 20, Workload: UniformWorkload(2, 2, 0, 1)})
+	if !errors.Is(err, ErrNoLatency) {
+		t.Fatalf("Run over a matrix-less instance: err = %v, want ErrNoLatency", err)
 	}
 }
 

@@ -123,20 +123,29 @@ func GenerateCoords(cfg SyntheticConfig, seed int64) ([]Coord, error) {
 	}
 }
 
+// MinCoordLatency is the floor applied to every off-diagonal
+// coordinate-predicted latency, so coincident points still yield a
+// matrix that passes Matrix.Validate. CoordsToMatrix and every table
+// built straight from coordinates share it, which keeps their entries
+// bit-identical.
+const MinCoordLatency = 1e-9
+
+// FlooredLatency is a.LatencyTo(b) floored at MinCoordLatency: the
+// entry CoordsToMatrix stores for a pair whose lower node index is a.
+func FlooredLatency(a, b Coord) float64 {
+	return max(a.LatencyTo(b), MinCoordLatency)
+}
+
 // CoordsToMatrix materializes the complete pairwise coordinate-predicted
 // latency matrix. Intended for small n only (tests, the n ≤ 2048
 // comparison against the direct heuristics); the whole point of
-// coordinates is not to do this at scale. Entries are floored at a tiny
-// positive value so the result passes Matrix.Validate.
+// coordinates is not to do this at scale. Entries are floored at
+// MinCoordLatency so the result passes Matrix.Validate.
 func CoordsToMatrix(cs []Coord) Matrix {
-	const floor = 1e-9
 	m := NewMatrix(len(cs))
 	for i := range cs {
 		for j := i + 1; j < len(cs); j++ {
-			v := cs[i].LatencyTo(cs[j])
-			if v < floor {
-				v = floor
-			}
+			v := FlooredLatency(cs[i], cs[j])
 			m[i][j], m[j][i] = v, v
 		}
 	}

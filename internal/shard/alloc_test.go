@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"diacap/internal/shard"
@@ -61,5 +62,24 @@ func TestPlaneMigrateAllocsIndependentOfUniverse(t *testing.T) {
 	if allocs[0] != allocs[1] {
 		t.Fatalf("Migrate allocates %.2f times per op at %d clients, %.2f at %d",
 			allocs[0], planeBenchSizes[0], allocs[1], planeBenchSizes[1])
+	}
+}
+
+// A shard sub-instance holds only its client→server and server→server
+// tables, so building the plane costs O(|C|·|S|) memory: at 16 servers,
+// 4 shards and 16,000 clients shard.New stays within 32 MB of total
+// allocation; four dense (|S|+|C_s|)² node matrices would take ~520 MB.
+func TestPlaneNewMemoryLinearInClients(t *testing.T) {
+	const limitMB = 32
+	servers, clients := testCoords(t, 16000, 16, 11)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := shard.New(shard.Options{Shards: 4, Servers: servers, Clients: clients})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > limitMB {
+		t.Fatalf("shard.New over %d clients allocated %.1f MB, want ≤ %d MB", p.NumClients(), mb, limitMB)
 	}
 }

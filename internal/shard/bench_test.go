@@ -59,6 +59,24 @@ func migrateOp(p *shard.Plane, clients, offsets []int, i int) error {
 	return err
 }
 
+// BenchmarkPlaneNew measures building a 4-shard, 16-server plane: cell
+// clustering, partition, the per-shard client→server tables and the
+// first publish.
+func BenchmarkPlaneNew(b *testing.B) {
+	for _, n := range planeBenchSizes {
+		b.Run(fmt.Sprintf("clients=%d", n), func(b *testing.B) {
+			servers, clients := testCoords(b, n, 16, 11)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := shard.New(shard.Options{Shards: 4, Servers: servers, Clients: clients}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPlaneMigrate measures one explicit-target migration (one
 // evaluator move and one snapshot publish) on a fully populated plane.
 func BenchmarkPlaneMigrate(b *testing.B) {

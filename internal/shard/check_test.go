@@ -67,20 +67,20 @@ func (p *Plane) checkSnapshot(prev, cur *Snapshot) error {
 // scratchD evaluates assignment a with a fresh, non-incremental
 // evaluator over the unpartitioned world: one matrix over [servers ∥
 // all clients] whose client-server entries are copied from the shard
-// sub-instances and whose server-server block is p.ss (client-client
-// entries never reach D and stay zero). Callers hold p.mu.
+// sub-instances' tables and whose server-server block is shard 0's
+// server table (client-client entries never reach D and stay zero).
+// Callers hold p.mu.
 func (p *Plane) scratchD(a []int) (float64, error) {
 	ns := p.NumServers()
 	m := latency.NewMatrix(ns + len(a))
 	for k := 0; k < ns; k++ {
-		copy(m[k][:ns], p.ss[k])
+		copy(m[k][:ns], p.shards[0].in.ServerServerRow(k))
 	}
 	for _, sh := range p.shards {
-		sm := sh.in.Matrix()
 		for i, c := range sh.clients {
 			for k := 0; k < ns; k++ {
-				m[ns+c][k] = sm[ns+i][k]
-				m[k][ns+c] = sm[k][ns+i]
+				d := sh.in.ClientServerDist(i, k)
+				m[ns+c][k], m[k][ns+c] = d, d
 			}
 		}
 	}

@@ -55,26 +55,17 @@ func NewFromPopulation(pop *dynamic.Population, opts Options) (*Plane, error) {
 	return p, nil
 }
 
-// resliceLocked rebuilds every shard's sub-instance and the plane's
-// server-server matrix as bitwise slices of a full population matrix m
-// (node-indexed), preserving assignments. Callers hold p.mu.
+// resliceLocked rebuilds every shard's sub-instance as a bitwise slice
+// of a full population matrix m (node-indexed), preserving assignments. A sub-instance copies only its
+// client→server and server→server tables out of m, never an
+// (|S|+|C_s|)² submatrix. Callers hold p.mu.
 func (p *Plane) resliceLocked(m latency.Matrix) error {
-	ns := len(p.serverNodes)
 	for _, sh := range p.shards {
-		nodes := make([]int, 0, ns+len(sh.clients))
-		nodes = append(nodes, p.serverNodes...)
-		for _, c := range sh.clients {
-			nodes = append(nodes, p.clientNodes[c])
-		}
-		servers := make([]int, ns)
 		clients := make([]int, len(sh.clients))
-		for k := range servers {
-			servers[k] = k
+		for i, c := range sh.clients {
+			clients[i] = p.clientNodes[c]
 		}
-		for i := range clients {
-			clients[i] = ns + i
-		}
-		in, err := core.NewInstanceTrusted(m.Submatrix(nodes), servers, clients)
+		in, err := core.NewInstanceTrusted(m, p.serverNodes, clients)
 		if err != nil {
 			return fmt.Errorf("shard %d: reslice: %w", sh.id, err)
 		}
@@ -88,7 +79,6 @@ func (p *Plane) resliceLocked(m latency.Matrix) error {
 		// The fresh evaluator dropped the previous delta hook; reattach.
 		p.installHooks(sh)
 	}
-	p.ss = m.Submatrix(p.serverNodes)
 	return nil
 }
 

@@ -124,11 +124,7 @@ type Plane struct {
 	cellShard   []int
 	clientShard []int
 	clientLocal []int
-	// ss is the server-server latency table (CoordsToMatrix over the
-	// server coordinates, so entries are bit-identical to every shard
-	// sub-instance's ServerServerDist).
-	ss     latency.Matrix
-	maxRho float64
+	maxRho      float64
 
 	shards []*shardState
 	alive  []bool
@@ -260,7 +256,6 @@ func New(opts Options) (*Plane, error) {
 		cellShard:   make([]int, len(cells)),
 		clientShard: make([]int, len(opts.Clients)),
 		clientLocal: make([]int, len(opts.Clients)),
-		ss:          latency.CoordsToMatrix(opts.Servers),
 		alive:       make([]bool, len(opts.Servers)),
 		eccMerge:    make([]float64, len(opts.Servers)),
 		boundMerge:  make([]float64, len(opts.Servers)),
@@ -322,10 +317,11 @@ func (p *Plane) partition() {
 }
 
 // buildShards materializes each shard's sub-instance and capacity
-// share. The sub-instance matrix is CoordsToMatrix over the shard's
-// node coordinates, so its entries are bit-identical to the
-// corresponding entries of the unpartitioned matrix — with one shard
-// the sub-instance IS the unsharded instance.
+// share. The sub-instance holds only its client→server and
+// server→server tables (core.NewCoordInstance over [servers ∥ shard
+// clients], O(|C_s|·|S|) memory), whose entries are bit-identical to the
+// corresponding entries of the unpartitioned CoordsToMatrix — with one
+// shard the sub-instance IS the unsharded instance.
 func (p *Plane) buildShards() error {
 	n := len(p.opts.Clients)
 	ns := len(p.opts.Servers)
@@ -368,20 +364,11 @@ func (p *Plane) buildShards() error {
 	}
 
 	for s := 0; s < p.opts.Shards; s++ {
-		coords := make([]latency.Coord, 0, ns+len(members[s]))
-		coords = append(coords, p.opts.Servers...)
-		for _, c := range members[s] {
-			coords = append(coords, p.opts.Clients[c])
+		coords := make([]latency.Coord, len(members[s]))
+		for i, c := range members[s] {
+			coords[i] = p.opts.Clients[c]
 		}
-		servers := make([]int, ns)
-		clients := make([]int, len(members[s]))
-		for k := range servers {
-			servers[k] = k
-		}
-		for i := range clients {
-			clients[i] = ns + i
-		}
-		in, err := core.NewInstanceTrusted(latency.CoordsToMatrix(coords), servers, clients)
+		in, err := core.NewCoordInstance(p.opts.Servers, coords)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
@@ -415,10 +402,10 @@ func (p *Plane) buildShards() error {
 		for r, j := range owned[s] {
 			cell := p.cells[j]
 			for k, sc := range p.opts.Servers {
-				// Floored like CoordsToMatrix entries, so the bound
+				// Floored like the sub-instance entries, so the bound
 				// rep→server + ρ dominates the (floored) member→server
 				// distances even for coincident coordinates.
-				sh.cellBound[r*ns+k] = certifiedUp(max(cell.Rep.LatencyTo(sc), 1e-9) + cell.Rho)
+				sh.cellBound[r*ns+k] = certifiedUp(latency.FlooredLatency(cell.Rep, sc) + cell.Rho)
 			}
 			for _, m := range cell.Members {
 				sh.localCell[p.clientLocal[m]] = r

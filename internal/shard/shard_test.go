@@ -384,6 +384,43 @@ func TestPlaneResolve(t *testing.T) {
 	bitsEq(t, "post-resolve snapshot D", s.D, globalD(t, servers, clients, s.Assignment()))
 }
 
+// TestPlanePeriodicReoptimize runs a batch re-solving strategy on the
+// plane: PeriodicReoptimize restricts each shard's table-only
+// sub-instance to its active clients and re-solves it, and every
+// snapshot it publishes passes the from-scratch check.
+func TestPlanePeriodicReoptimize(t *testing.T) {
+	servers, clients := testCoords(t, 120, 8, 7)
+	p, err := shard.New(shard.Options{
+		Shards: 4, Servers: servers, Clients: clients,
+		Strategy: func(in *core.Instance) dynamic.Strategy { return dynamic.NewPeriodicReoptimize(in, 100) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := snapChecker{t: t, p: p}
+	ctx := context.Background()
+	for c := 0; c < len(clients); c++ {
+		if _, err := p.Join(ctx, c); err != nil {
+			t.Fatal(err)
+		}
+		sc.check("join %d", c)
+	}
+	moved := 0
+	for id := 0; id < p.NumShards(); id++ {
+		moves, err := p.RepairShard(ctx, id, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved += moves
+		sc.check("repair shard %d", id)
+	}
+	if moved == 0 {
+		t.Fatal("periodic re-solve moved no client; the test no longer exercises it")
+	}
+	s := p.Current()
+	bitsEq(t, "post-repair snapshot D", s.D, globalD(t, servers, clients, s.Assignment()))
+}
+
 // TestPlaneLockFreeReads hammers Current/At from readers while a writer
 // mutates — the race detector certifies the lock-free read claim.
 func TestPlaneLockFreeReads(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"diacap/internal/core"
 	"diacap/internal/obs"
 )
 
@@ -195,8 +196,10 @@ func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 			}
 		}
 	}
-	snap.D = eccPairMax(p.ss, ecc)
-	snap.CertifiedD = eccPairMax(p.ss, bound)
+	// Every shard's sub-instance holds the same server→server table.
+	ss := p.shards[0].in
+	snap.D = eccPairMax(ss, ecc)
+	snap.CertifiedD = eccPairMax(ss, bound)
 	p.snap.Store(snap)
 	p.met.published(snap, time.Since(start).Seconds())
 	// Guarded so an uninstrumented publish skips building the attrs:
@@ -289,15 +292,16 @@ func (p *Plane) Health() []ShardHealth {
 
 // eccPairMax is the canonical eccentricity pair scan (the scalar form
 // of perfkit.MaxPathEcc, same association and comparison order): max
-// over used server pairs k ≤ l of ecc[k] + ss[k][l] + ecc[l]. It is
-// bit-identical to Evaluator.D over the same eccentricities.
-func eccPairMax(ss [][]float64, ecc []float64) float64 {
+// over used server pairs k ≤ l of ecc[k] + d(k,l) + ecc[l], d read from
+// in's server→server table. It is bit-identical to Evaluator.D over the
+// same eccentricities.
+func eccPairMax(in *core.Instance, ecc []float64) float64 {
 	var max float64
 	for k := range ecc {
 		if ecc[k] < 0 {
 			continue
 		}
-		row := ss[k]
+		row := in.ServerServerRow(k)
 		for l := k; l < len(ecc); l++ {
 			if ecc[l] < 0 {
 				continue
