@@ -92,28 +92,14 @@ func suite() []benchmark {
 			},
 		},
 		{
-			name:     "maxpath_ecc/meridian",
-			workload: "max interaction path by eccentricity decomposition, Meridian scale (1796 clients, 80 servers)",
-			setup: func() (func() float64, func() float64) {
-				in := buildInstance(latency.MeridianLike(1), 80)
-				a := randomAssignment(in, 99)
-				ecc := make([]float64, in.NumServers())
-				return func() float64 { return in.MaxInteractionPath(a) },
-					func() float64 {
-						perfkit.EccIntoRef(in.FlatClientServer(), a, ecc)
-						return perfkit.MaxPathEccRef(in.FlatServerServer(), ecc)
-					}
-			},
-		},
-		{
 			name:     "incremental_d/meridian",
 			workload: "per-event D maintenance under churn: incremental engine vs eccentricity repair + full pair recompute, Meridian scale (1796 clients, 80 servers)",
 			setup: func() (func() float64, func() float64) {
 				in := buildInstance(latency.MeridianLike(1), 80)
 				a := randomAssignment(in, 99)
-				// One shared cyclic churn tape: both evaluators replay
-				// the same migrations from the same initial assignment,
-				// so per-event work differs only in how D is maintained.
+				// One shared cyclic churn tape: both sides replay the
+				// same migrations from the same initial assignment, so
+				// per-event work differs only in how D is maintained.
 				const tapeLen = 4096
 				rng := rand.New(rand.NewSource(7))
 				tapeClient := make([]int, tapeLen)
@@ -122,22 +108,18 @@ func suite() []benchmark {
 					tapeClient[i] = rng.Intn(in.NumClients())
 					tapeServer[i] = rng.Intn(in.NumServers())
 				}
-				newEval := func() *core.Evaluator {
-					ev, err := in.NewEvaluator(a)
-					if err != nil {
-						panic(err)
-					}
-					return ev
+				evInc, err := in.NewEvaluator(a)
+				if err != nil {
+					panic(err)
 				}
-				evInc, evRef := newEval(), newEval()
-				evInc.EnableIncremental()
+				ref := newEccRepair(in, a)
 				i, j := 0, 0
 				return func() float64 {
 						d := evInc.Move(tapeClient[i], tapeServer[i])
 						i = (i + 1) % tapeLen
 						return d
 					}, func() float64 {
-						d := evRef.Move(tapeClient[j], tapeServer[j])
+						d := ref.move(tapeClient[j], tapeServer[j])
 						j = (j + 1) % tapeLen
 						return d
 					}
@@ -430,6 +412,42 @@ func buildInstance(m latency.Matrix, ns int) *core.Instance {
 		panic(err)
 	}
 	return in
+}
+
+// eccRepair is the reference side of incremental_d/meridian: D
+// maintained by an O(|C|) eccentricity repair scan when the moved
+// client was its old server's farthest, then a full MaxPathEcc pair
+// scan. It serves complete assignments and moves onto servers only.
+type eccRepair struct {
+	in  *core.Instance
+	a   core.Assignment
+	ecc []float64
+	d   float64
+}
+
+func newEccRepair(in *core.Instance, a core.Assignment) *eccRepair {
+	r := &eccRepair{in: in, a: a.Clone(), ecc: in.Eccentricities(a)}
+	r.d = perfkit.MaxPathEcc(in.FlatServerServer(), r.ecc)
+	return r
+}
+
+func (r *eccRepair) move(c, s int) float64 {
+	old := r.a[c]
+	if old == s {
+		return r.d
+	}
+	if r.in.ClientServerDist(c, old) >= r.ecc[old]-1e-15 {
+		r.ecc[old] = -1
+		for j, sj := range r.a {
+			if j != c && sj == old {
+				r.ecc[old] = max(r.ecc[old], r.in.ClientServerDist(j, old))
+			}
+		}
+	}
+	r.a[c] = s
+	r.ecc[s] = max(r.ecc[s], r.in.ClientServerDist(c, s))
+	r.d = perfkit.MaxPathEcc(r.in.FlatServerServer(), r.ecc)
+	return r.d
 }
 
 // randomAssignment returns a seeded complete assignment.

@@ -26,7 +26,6 @@ func TestApplyMoveZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev.EnableIncremental()
 	for c := 0; c < in.NumClients(); c++ {
 		if _, err := ev.ApplyJoin(c, c%in.NumServers()); err != nil {
 			t.Fatal(err)

@@ -375,7 +375,7 @@ func (in *Instance) MaxInteractionPath(a Assignment) float64 {
 	defer perfkit.PutScratch(s)
 	ecc := s.Floats(len(in.servers))
 	perfkit.EccInto(in.csF, a, ecc)
-	return perfkit.MaxPathEcc(in.ssF, ecc, s)
+	return perfkit.MaxPathEcc(in.ssF, ecc)
 }
 
 // MaxPathNaive computes D by direct enumeration of all client pairs in

@@ -22,7 +22,6 @@ func TestDeltaHookObservesAppliedOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev.EnableIncremental()
 
 	var events []core.DeltaEvent
 	ev.SetDeltaHook(func(e core.DeltaEvent) { events = append(events, e) })
@@ -116,7 +115,6 @@ func TestDeltaHookDoesNotChangeResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev.EnableIncremental()
 		if hook {
 			ev.SetDeltaHook(func(core.DeltaEvent) {})
 		}

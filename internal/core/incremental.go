@@ -20,25 +20,16 @@ var (
 )
 
 // EvaluatorStats counts the work the evaluator has performed, split by
-// kind. The counters separate the O(world) operations (full pair-scan
-// recomputes, linear eccentricity repair scans) from the bounded ones
-// (heap settles, per-server pair touches), so tests can assert that a
-// given operation sequence stayed on the incremental path — and that
-// no-op moves perform no repair work at all.
+// kind, so tests can assert what an operation sequence cost — and that
+// no-op moves and PeekMove perform no repair work at all.
 type EvaluatorStats struct {
-	// Recomputes counts full MaxPathEcc pair scans (legacy path only).
-	Recomputes int
-	// EccScans counts O(|C|) eccentricity repair scans (legacy path
-	// only).
-	EccScans int
-	// HeapOps counts per-server distance-heap pushes and removals
-	// (incremental path).
+	// HeapOps counts per-server distance-heap pushes and removals.
 	HeapOps int
 	// PairTouches counts O(1) candidate updates of another server's
-	// cached best pair value (incremental path).
+	// cached best pair value.
 	PairTouches int
 	// PairRescans counts O(U) rebuilds of one server's best pair value
-	// (incremental path; needed when a cached witness goes stale).
+	// (needed when a cached witness goes stale).
 	PairRescans int
 }
 
@@ -66,16 +57,16 @@ type DeltaEvent struct {
 // control-plane events, not search iterations.
 func (ev *Evaluator) SetDeltaHook(fn func(DeltaEvent)) { ev.deltaHook = fn }
 
-// applyTracked runs one delta through the incremental engine and feeds
-// the hook, measuring the per-event work only when someone is listening.
+// applyTracked applies one delta and feeds the hook, measuring the
+// per-event work only when someone is listening.
 //
 //dialint:hotpath
 func (ev *Evaluator) applyTracked(op string, c, s int) float64 {
 	if ev.deltaHook == nil {
-		return ev.moveIncremental(c, s)
+		return ev.move(c, s)
 	}
 	before := ev.stats
-	d := ev.moveIncremental(c, s)
+	d := ev.move(c, s)
 	ev.deltaHook(DeltaEvent{
 		Op:          op,
 		Client:      c,
@@ -94,58 +85,8 @@ func (ev *Evaluator) Stats() EvaluatorStats { return ev.stats }
 // ResetStats zeroes the work counters.
 func (ev *Evaluator) ResetStats() { ev.stats = EvaluatorStats{} }
 
-// IncrementalEnabled reports whether the evaluator maintains D with the
-// incremental engine.
-func (ev *Evaluator) IncrementalEnabled() bool { return ev.inc != nil }
-
-// EnableIncremental switches the evaluator to incremental D
-// maintenance: per-server eccentricities are backed by lazy-deletion
-// max-heaps over client distances, and D is maintained through cached
-// per-server best pair values under a lazy global max-heap, so a churn
-// event (join, leave, migrate) costs O(U + log) instead of the O(|C| +
-// U²) full rescan. The maintained D is bit-identical to what
-// recompute() produces for the same assignment (both take maxima over
-// the same canonical pair sums — see pairPath). Enabling is idempotent
-// and valid in any state; Move, ApplyJoin, ApplyLeave, ApplyMove, and
-// PeekMove all route through the engine once enabled.
-func (ev *Evaluator) EnableIncremental() {
-	if ev.inc != nil {
-		return
-	}
-	ns := ev.in.NumServers()
-	st := &incState{
-		ev:       ev,
-		trackers: make([]maxTracker, ns),
-		contrib:  make([]float64, ns),
-		argmax:   make([]int, ns),
-		usedPos:  make([]int, ns),
-		ver:      make([]uint64, ns),
-	}
-	for k := 0; k < ns; k++ {
-		st.usedPos[k] = -1
-		st.argmax[k] = -1
-	}
-	for c, s := range ev.a {
-		if s != Unassigned {
-			st.trackers[s].push(ev.in.cs[c][s])
-		}
-	}
-	for k := 0; k < ns; k++ {
-		if ev.ecc[k] >= 0 {
-			st.addUsed(k)
-		}
-	}
-	for _, s := range st.used {
-		st.rescan(s)
-	}
-	ev.inc = st
-	ev.d = st.currentD()
-	ev.dirty = false
-}
-
 // ApplyJoin assigns the currently-unassigned client c to server s and
-// returns the new D. The evaluator switches to incremental maintenance
-// if it has not already.
+// returns the new D.
 func (ev *Evaluator) ApplyJoin(c, s int) (float64, error) {
 	if err := ev.checkDelta(c, s); err != nil {
 		return 0, err
@@ -156,7 +97,6 @@ func (ev *Evaluator) ApplyJoin(c, s int) (float64, error) {
 	if ev.a[c] != Unassigned {
 		return 0, fmt.Errorf("%w: join of client %d (on server %d)", ErrAlreadyAssigned, c, ev.a[c])
 	}
-	ev.EnableIncremental()
 	return ev.applyTracked("join", c, s), nil
 }
 
@@ -168,7 +108,6 @@ func (ev *Evaluator) ApplyLeave(c int) (float64, error) {
 	if ev.a[c] == Unassigned {
 		return 0, fmt.Errorf("%w: leave of client %d", ErrNotAssigned, c)
 	}
-	ev.EnableIncremental()
 	return ev.applyTracked("leave", c, Unassigned), nil
 }
 
@@ -185,7 +124,6 @@ func (ev *Evaluator) ApplyMove(c, s int) (float64, error) {
 	if ev.a[c] == Unassigned {
 		return 0, fmt.Errorf("%w: migrate of client %d", ErrNotAssigned, c)
 	}
-	ev.EnableIncremental()
 	return ev.applyTracked("move", c, s), nil
 }
 
@@ -199,215 +137,151 @@ func (ev *Evaluator) checkDelta(c, s int) error {
 	return nil
 }
 
-// moveIncremental is the incremental counterpart of Move: the affected
-// servers' eccentricities are repaired through their distance heaps and
-// the global max is repaired through the cached pair values, with no
-// O(|C|) scan and no O(U²) pair walk.
-//
-//dialint:hotpath
-func (ev *Evaluator) moveIncremental(c, s int) float64 {
-	st := ev.inc
-	old := ev.a[c]
-	if old == s {
-		return ev.d
-	}
-	if old != Unassigned {
-		ev.loads[old]--
-		st.trackers[old].remove(ev.in.cs[c][old])
-		ev.stats.HeapOps++
-		if ne := st.trackers[old].max(); math.Float64bits(ne) != math.Float64bits(ev.ecc[old]) {
-			ev.ecc[old] = ne
-			st.eccChanged(old, true)
-		}
-	}
-	ev.a[c] = s
-	if s != Unassigned {
-		ev.loads[s]++
-		wasUsed := ev.ecc[s] >= 0
-		st.trackers[s].push(ev.in.cs[c][s])
-		ev.stats.HeapOps++
-		if v := ev.in.cs[c][s]; v > ev.ecc[s] {
-			ev.ecc[s] = v
-			st.eccChanged(s, wasUsed)
-		}
-	}
-	ev.d = st.currentD()
-	return ev.d
-}
-
-// incState is the incremental D engine. Invariants, maintained after
-// every delta operation:
-//
-//   - trackers[s] holds the multiset of distances from server s to its
-//     assigned clients; its max equals ev.ecc[s] bit-for-bit (-1 when
-//     empty, matching the legacy repair scan).
-//   - used lists exactly the servers with at least one client
-//     (ev.ecc[s] >= 0); usedPos is its inverse (-1 when unused).
-//   - For every used s, contrib[s] = max over used t of pairPath(s, t)
-//     (t = s included: the degenerate one-server path), and argmax[s]
-//     is a witness partner attaining it.
-//   - top is a lazy max-heap over (contrib[s], s, ver[s]); entries
-//     whose version does not match ver[s] are stale and skipped, so
-//     the live top of the heap is D.
-//
-// Repair cost per eccentricity change is O(U) touches plus O(U) per
-// witness-invalidated rescan; rescans are only needed when an
-// eccentricity decreases (an increase of ecc[s] can only improve pairs
-// involving s, because float64 addition is monotone in each argument).
-type incState struct {
-	ev       *Evaluator
-	trackers []maxTracker
-	contrib  []float64
-	argmax   []int
-	used     []int
-	usedPos  []int
-	ver      []uint64
-	top      []topEntry
-}
-
-type topEntry struct {
-	d   float64
-	s   int
-	ver uint64
-}
-
 // pairPath returns the canonical interaction-path value for used
 // servers s and t: the lower-indexed server's eccentricity enters the
 // sum first, exactly as perfkit.MaxPathEcc associates it, so maxima
-// over these values are bit-identical to a full recompute.
-func (st *incState) pairPath(s, t int) float64 {
+// over these values are bit-identical to MaxInteractionPath.
+func (ev *Evaluator) pairPath(s, t int) float64 {
 	if s > t {
 		s, t = t, s
 	}
-	return st.ev.ecc[s] + st.ev.in.ss[s][t] + st.ev.ecc[t]
+	return ev.ecc[s] + ev.in.ss[s][t] + ev.ecc[t]
 }
 
-func (st *incState) addUsed(s int) {
-	st.usedPos[s] = len(st.used)
-	st.used = append(st.used, s)
+// pairOf is pairPath over given eccentricities es of s and et of t.
+func (ev *Evaluator) pairOf(s int, es float64, t int, et float64) float64 {
+	if s > t {
+		s, t, es, et = t, s, et, es
+	}
+	return es + ev.in.ss[s][t] + et
 }
 
-func (st *incState) removeUsed(s int) {
-	i := st.usedPos[s]
-	last := len(st.used) - 1
-	st.used[i] = st.used[last]
-	st.usedPos[st.used[i]] = i
-	st.used = st.used[:last]
-	st.usedPos[s] = -1
+func (ev *Evaluator) addUsed(s int) {
+	ev.usedPos[s] = len(ev.used)
+	ev.used = append(ev.used, s)
+}
+
+func (ev *Evaluator) removeUsed(s int) {
+	i := ev.usedPos[s]
+	last := len(ev.used) - 1
+	ev.used[i] = ev.used[last]
+	ev.usedPos[ev.used[i]] = i
+	ev.used = ev.used[:last]
+	ev.usedPos[s] = -1
 }
 
 // rescan rebuilds contrib[s] from scratch over the used list.
-func (st *incState) rescan(s int) {
+func (ev *Evaluator) rescan(s int) {
 	best := math.Inf(-1)
 	arg := -1
-	for _, t := range st.used {
-		if v := st.pairPath(s, t); v > best {
+	for _, t := range ev.used {
+		if v := ev.pairPath(s, t); v > best {
 			best, arg = v, t
 		}
 	}
-	st.contrib[s], st.argmax[s] = best, arg
-	st.push(s)
-	st.ev.stats.PairRescans++
+	ev.contrib[s], ev.argmax[s] = best, arg
+	ev.push(s)
+	ev.stats.PairRescans++
 }
 
 // push publishes contrib[s] to the global heap under a fresh version,
 // implicitly retiring any earlier entry for s.
-func (st *incState) push(s int) {
-	st.ver[s]++
-	st.top = append(st.top, topEntry{d: st.contrib[s], s: s, ver: st.ver[s]})
-	st.siftUp(len(st.top) - 1)
+func (ev *Evaluator) push(s int) {
+	ev.ver[s]++
+	ev.top = append(ev.top, topEntry{d: ev.contrib[s], s: s, ver: ev.ver[s]})
+	ev.siftUp(len(ev.top) - 1)
 	// Lazy deletion lets retired entries pile up; once the heap is far
 	// larger than one live entry per used server, rebuild it from the
 	// live contribs (deterministic: iterates the used list).
-	if len(st.top) > 4*len(st.used)+64 {
-		st.top = st.top[:0]
-		for _, t := range st.used {
-			st.top = append(st.top, topEntry{d: st.contrib[t], s: t, ver: st.ver[t]})
+	if len(ev.top) > 4*len(ev.used)+64 {
+		ev.top = ev.top[:0]
+		for _, t := range ev.used {
+			ev.top = append(ev.top, topEntry{d: ev.contrib[t], s: t, ver: ev.ver[t]})
 		}
-		for i := len(st.top)/2 - 1; i >= 0; i-- {
-			st.siftDown(i)
+		for i := len(ev.top)/2 - 1; i >= 0; i-- {
+			ev.siftDown(i)
 		}
 	}
 }
 
 // currentD pops stale entries off the global heap and returns the live
 // maximum (0 with no used servers, matching MaxPathEcc).
-func (st *incState) currentD() float64 {
-	for len(st.top) > 0 {
-		e := st.top[0]
-		if st.ver[e.s] == e.ver {
+func (ev *Evaluator) currentD() float64 {
+	for len(ev.top) > 0 {
+		e := ev.top[0]
+		if ev.ver[e.s] == e.ver {
 			return e.d
 		}
-		last := len(st.top) - 1
-		st.top[0] = st.top[last]
-		st.top = st.top[:last]
-		if len(st.top) > 0 {
-			st.siftDown(0)
+		last := len(ev.top) - 1
+		ev.top[0] = ev.top[last]
+		ev.top = ev.top[:last]
+		if len(ev.top) > 0 {
+			ev.siftDown(0)
 		}
 	}
 	return 0
 }
 
-func (st *incState) siftUp(i int) {
+func (ev *Evaluator) siftUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if st.top[i].d <= st.top[p].d {
+		if ev.top[i].d <= ev.top[p].d {
 			return
 		}
-		st.top[i], st.top[p] = st.top[p], st.top[i]
+		ev.top[i], ev.top[p] = ev.top[p], ev.top[i]
 		i = p
 	}
 }
 
-func (st *incState) siftDown(i int) {
-	n := len(st.top)
+func (ev *Evaluator) siftDown(i int) {
+	n := len(ev.top)
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < n && st.top[l].d > st.top[m].d {
+		if l < n && ev.top[l].d > ev.top[m].d {
 			m = l
 		}
-		if r < n && st.top[r].d > st.top[m].d {
+		if r < n && ev.top[r].d > ev.top[m].d {
 			m = r
 		}
 		if m == i {
 			return
 		}
-		st.top[i], st.top[m] = st.top[m], st.top[i]
+		ev.top[i], ev.top[m] = ev.top[m], ev.top[i]
 		i = m
 	}
 }
 
-// eccChanged repairs the pair caches after ev.ecc[s] was updated.
+// eccChanged repairs the pair caches after ecc[s] was updated.
 // wasUsed is whether s had clients before the change.
-func (st *incState) eccChanged(s int, wasUsed bool) {
-	nowUsed := st.ev.ecc[s] >= 0
+func (ev *Evaluator) eccChanged(s int, wasUsed bool) {
+	nowUsed := ev.ecc[s] >= 0
 	switch {
 	case !wasUsed && nowUsed:
 		// s enters the used set: compute its own best pair, and offer the
 		// new pairs (t, s) to every other used server. A new pair can only
 		// raise another server's max, never invalidate it.
-		st.addUsed(s)
-		st.rescan(s)
-		for _, t := range st.used {
+		ev.addUsed(s)
+		ev.rescan(s)
+		for _, t := range ev.used {
 			if t == s {
 				continue
 			}
-			st.ev.stats.PairTouches++
-			if v := st.pairPath(t, s); v >= st.contrib[t] {
-				st.contrib[t], st.argmax[t] = v, s
-				st.push(t)
+			ev.stats.PairTouches++
+			if v := ev.pairPath(t, s); v >= ev.contrib[t] {
+				ev.contrib[t], ev.argmax[t] = v, s
+				ev.push(t)
 			}
 		}
 	case wasUsed && !nowUsed:
 		// s leaves the used set: retire its heap entries and rebuild any
 		// server whose cached witness was s.
-		st.removeUsed(s)
-		st.ver[s]++
-		for _, t := range st.used {
-			st.ev.stats.PairTouches++
-			if st.argmax[t] == s {
-				st.rescan(t)
+		ev.removeUsed(s)
+		ev.ver[s]++
+		for _, t := range ev.used {
+			ev.stats.PairTouches++
+			if ev.argmax[t] == s {
+				ev.rescan(t)
 			}
 		}
 	case wasUsed && nowUsed:
@@ -416,19 +290,19 @@ func (st *incState) eccChanged(s int, wasUsed bool) {
 		// that pair now beats the cached max it becomes the new witness;
 		// if it shrank and s was the witness, only then is a rescan
 		// needed (float64 addition is monotone, so no other pair moved).
-		st.rescan(s)
-		for _, t := range st.used {
+		ev.rescan(s)
+		for _, t := range ev.used {
 			if t == s {
 				continue
 			}
-			st.ev.stats.PairTouches++
-			v := st.pairPath(t, s)
+			ev.stats.PairTouches++
+			v := ev.pairPath(t, s)
 			switch {
-			case v >= st.contrib[t]:
-				st.contrib[t], st.argmax[t] = v, s
-				st.push(t)
-			case st.argmax[t] == s:
-				st.rescan(t)
+			case v >= ev.contrib[t]:
+				ev.contrib[t], ev.argmax[t] = v, s
+				ev.push(t)
+			case ev.argmax[t] == s:
+				ev.rescan(t)
 			}
 		}
 	}

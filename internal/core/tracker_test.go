@@ -31,7 +31,6 @@ func TestTrackerTombstonesStayBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev.EnableIncremental()
 
 	// A client on server 0 strictly nearer than that server's farthest.
 	const s = 0
@@ -61,7 +60,7 @@ func TestTrackerTombstonesStayBounded(t *testing.T) {
 		}
 	}
 	for k := range servers {
-		tr := &ev.inc.trackers[k]
+		tr := &ev.trackers[k]
 		if n := len(tr.live) + len(tr.dead); n > 2*ev.loads[k]+64 {
 			t.Errorf("server %d: %d live + %d dead heap entries for load %d",
 				k, len(tr.live), len(tr.dead), ev.loads[k])

@@ -100,10 +100,6 @@ func SimulateScenario(sc *Scenario, caps core.Capacities, strat Strategy) (*Scen
 	if err != nil {
 		return nil, err
 	}
-	// Per-event D maintenance through the incremental engine: identical
-	// values bit-for-bit (see the core differential tests), but each
-	// churn event costs a bounded repair instead of an O(U²) recompute.
-	ev.EnableIncremental()
 	res := &ScenarioResult{Result: Result{Strategy: strat.Name()}}
 
 	alive := make([]bool, in.NumServers())
@@ -237,7 +233,6 @@ func SimulateScenario(sc *Scenario, caps core.Capacities, strat Strategy) (*Scen
 			if err != nil {
 				return nil, fmt.Errorf("dynamic: drift snapshot at t=%.1f: %w", snap.Time, err)
 			}
-			fresh.EnableIncremental()
 			ev = fresh
 			res.DriftSteps++
 		}

@@ -31,7 +31,6 @@ func TestHotpathKernelsZeroAlloc(t *testing.T) {
 	srv := make([]int, n)
 	CompactAssigned(cs, a, dc, srv)
 	out := make([]int, n)
-	scratch := new(Scratch)
 
 	var fsink float64
 	var isink int
@@ -43,10 +42,7 @@ func TestHotpathKernelsZeroAlloc(t *testing.T) {
 		{"MaxMinPlus", func() { fsink = MaxMinPlus(cs.Row(0), cs, 1, 0) }},
 		{"MaxPlusSkip", func() { fsink = MaxPlusSkip(ss.Row(0), ecc) }},
 		{"EccInto", func() { EccInto(cs, a, ecc) }},
-		// Reset mirrors the real call site (Evaluator.recompute): the
-		// arena is reclaimed per call, so after the warm-up growth the
-		// Take'd slices come from existing capacity.
-		{"MaxPathEcc", func() { scratch.Reset(); fsink = MaxPathEcc(ss, ecc, scratch) }},
+		{"MaxPathEcc", func() { fsink = MaxPathEcc(ss, ecc) }},
 		{"CompactAssigned", func() { isink = CompactAssigned(cs, a, dc, srv) }},
 		{"MaxPathPairsRange", func() { fsink = MaxPathPairsRange(dc, srv, ss, 0, 1) }},
 		{"NearestInto", func() { NearestInto(cs, out) }},

@@ -13,7 +13,8 @@
 // operands in the same pairings, so min/max reorderings never change
 // the produced bits), and they are the "before" side of the
 // cmd/diabench regression suite, which tracks the speedup ratio of each
-// kernel over its reference.
+// kernel over its reference. EccInto and MaxPathEcc are plain scalar
+// loops themselves and have no twin.
 //
 // perfkit deliberately depends on nothing in the repo: kernels consume
 // plain slices and FlatMatrix values, and internal/core adapts its

@@ -32,21 +32,8 @@ func FuzzKernelsDifferential(f *testing.F) {
 			}
 		}
 
-		// Eccentricities: optimized vs reference.
 		ecc := make([]float64, ns)
-		eccRef := make([]float64, ns)
 		EccInto(cs, a, ecc)
-		EccIntoRef(cs, a, eccRef)
-		for k := range ecc {
-			if math.Float64bits(ecc[k]) != math.Float64bits(eccRef[k]) {
-				t.Fatalf("ecc[%d]: %v != ref %v", k, ecc[k], eccRef[k])
-			}
-		}
-
-		// Max path over eccentricities.
-		if got, want := MaxPathEcc(ss, ecc, nil), MaxPathEccRef(ss, ecc); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("MaxPathEcc %v != ref %v", got, want)
-		}
 
 		// Full pair scan, sequential and strided.
 		dc := make([]float64, nc)

@@ -4,9 +4,10 @@ import "math"
 
 // Kernel contracts
 //
-// Every kernel in this file is paired with a ...Ref reference that
-// implements the identical contract with the plain scalar loop the
-// repo shipped before perfkit existed. The pair must agree
+// Every optimized kernel in this file is paired with a ...Ref reference
+// that implements the identical contract with the plain scalar loop the
+// repo shipped before perfkit existed (EccInto and MaxPathEcc are that
+// plain loop and stand alone). The pair must agree
 // bit-for-bit: kernels are free to reorder *comparisons* (min/max are
 // order-independent) and to skip elements that provably cannot win,
 // but they must combine operands in exactly the same additions, with
@@ -178,65 +179,13 @@ func EccInto(cs *FlatMatrix, a []int, ecc []float64) {
 	}
 }
 
-// EccIntoRef is the retained reference for EccInto.
-func EccIntoRef(cs *FlatMatrix, a []int, ecc []float64) {
-	for k := range ecc {
-		ecc[k] = -1
-	}
-	for i, s := range a {
-		if s < 0 {
-			continue
-		}
-		if d := cs.At(i, s); d > ecc[s] {
-			ecc[s] = d
-		}
-	}
-}
-
 // MaxPathEcc returns the maximum interaction-path length implied by
 // per-server eccentricities: max over server pairs (s, t), both with
 // ecc ≥ 0, of ecc[s] + ss[s][t] + ecc[t], including s = t. The result
 // is 0 when no server has clients (matching the evaluators it backs).
 //
-// The kernel first compacts the used servers into dense scratch arrays
-// so the pair loop runs over gap-free data — with U used servers out
-// of |S| the loop is U² tight iterations instead of |S|² sentinel
-// tests. scratch may be nil, in which case a pooled arena is used.
-//
 //dialint:hotpath
-func MaxPathEcc(ss *FlatMatrix, ecc []float64, scratch *Scratch) float64 {
-	s := scratch
-	if s == nil {
-		s = GetScratch()
-		defer PutScratch(s)
-	}
-	su := s.Ints(len(ecc))
-	eu := s.Floats(len(ecc))
-	u := 0
-	for k, e := range ecc {
-		if e < 0 {
-			continue
-		}
-		su[u], eu[u] = k, e
-		u++
-	}
-	var best float64
-	for x := 0; x < u; x++ {
-		row := ss.Row(su[x])
-		ex := eu[x]
-		for y := x; y < u; y++ {
-			if v := ex + row[su[y]] + eu[y]; v > best {
-				best = v
-			}
-		}
-	}
-	return best
-}
-
-// MaxPathEccRef is the retained reference for MaxPathEcc: the direct
-// double loop over all server pairs with sentinel tests, exactly as
-// core.Evaluator.recompute was written before perfkit.
-func MaxPathEccRef(ss *FlatMatrix, ecc []float64) float64 {
+func MaxPathEcc(ss *FlatMatrix, ecc []float64) float64 {
 	ns := len(ecc)
 	var best float64
 	for s := 0; s < ns; s++ {

@@ -122,46 +122,11 @@ func TestMaxPlusSkipDifferential(t *testing.T) {
 	}
 }
 
-func TestEccIntoDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		nc, ns := 1+rng.Intn(80), 1+rng.Intn(12)
-		cs := randMatrix(rng, nc, ns, false)
-		a := randAssignment(rng, nc, ns, 0.2)
-		got := make([]float64, ns)
-		want := make([]float64, ns)
-		EccInto(cs, a, got)
-		EccIntoRef(cs, a, want)
-		for k := range got {
-			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-				t.Fatalf("ecc[%d] = %v, ref %v", k, got[k], want[k])
-			}
-		}
-	}
-}
-
-func TestMaxPathEccDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 150; trial++ {
-		ns := 1 + rng.Intn(40)
-		ss := randMatrix(rng, ns, ns, true)
-		ecc := make([]float64, ns)
-		for k := range ecc {
-			if rng.Float64() < 0.35 {
-				ecc[k] = -1
-			} else {
-				ecc[k] = rng.Float64() * 150
-			}
-		}
-		got := MaxPathEcc(ss, ecc, nil)
-		want := MaxPathEccRef(ss, ecc)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("ns=%d: MaxPathEcc = %v, ref = %v", ns, got, want)
-		}
-	}
-	// All-empty must yield the evaluators' zero default.
+// TestMaxPathEccAllEmpty pins the evaluators' zero default: with no
+// used server there is no pair, and D is 0.
+func TestMaxPathEccAllEmpty(t *testing.T) {
 	ss := randMatrix(rand.New(rand.NewSource(5)), 4, 4, true)
-	if got := MaxPathEcc(ss, []float64{-1, -1, -1, -1}, nil); got != 0 {
+	if got := MaxPathEcc(ss, []float64{-1, -1, -1, -1}); got != 0 {
 		t.Fatalf("MaxPathEcc(all empty) = %v, want 0", got)
 	}
 }

@@ -64,11 +64,12 @@ func (p *Plane) checkSnapshot(prev, cur *Snapshot) error {
 	return nil
 }
 
-// scratchD evaluates assignment a with a fresh, non-incremental
-// evaluator over the unpartitioned world: one matrix over [servers ∥
-// all clients] whose client-server entries are copied from the shard
-// sub-instances' tables and whose server-server block is shard 0's
-// server table (client-client entries never reach D and stay zero).
+// scratchD evaluates assignment a with a from-scratch
+// MaxInteractionPath over the unpartitioned world: one matrix over
+// [servers ∥ all clients] whose client-server entries are copied from
+// the shard sub-instances' tables and whose server-server block is
+// shard 0's server table (client-client entries never reach D and stay
+// zero).
 // Callers hold p.mu.
 func (p *Plane) scratchD(a []int) (float64, error) {
 	ns := p.NumServers()
@@ -96,9 +97,5 @@ func (p *Plane) scratchD(a []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ev, err := in.NewEvaluator(a)
-	if err != nil {
-		return 0, err
-	}
-	return ev.D(), nil
+	return in.MaxInteractionPath(a), nil
 }

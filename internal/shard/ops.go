@@ -451,20 +451,3 @@ func (sh *shardState) reconcileCells(before core.Assignment) {
 		sh.noteAssign(local, cur, +1)
 	}
 }
-
-// EvaluatorStats sums the per-shard evaluator work counters — tests use
-// it to prove the plane never fell back to O(world) repair.
-func (p *Plane) EvaluatorStats() core.EvaluatorStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var total core.EvaluatorStats
-	for _, sh := range p.shards {
-		st := sh.ev.Stats()
-		total.Recomputes += st.Recomputes
-		total.EccScans += st.EccScans
-		total.HeapOps += st.HeapOps
-		total.PairTouches += st.PairTouches
-		total.PairRescans += st.PairRescans
-	}
-	return total
-}

@@ -45,11 +45,7 @@ func globalD(t testing.TB, servers, clients []latency.Coord, a []int) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := in.NewEvaluator(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ev.D()
+	return in.MaxInteractionPath(a)
 }
 
 // snapChecker runs CheckSnapshot on the plane's published snapshot
@@ -140,9 +136,6 @@ func TestPlaneSnapshotExactD(t *testing.T) {
 	}
 	s := p.Current()
 	bitsEq(t, "final snapshot D", s.D, globalD(t, servers, clients, s.Assignment()))
-	if st := p.EvaluatorStats(); st.Recomputes != 0 || st.EccScans != 0 {
-		t.Fatalf("plane fell back to O(world) repair: %+v", st)
-	}
 	if s.Active != len(active) {
 		t.Fatalf("snapshot active %d, want %d", s.Active, len(active))
 	}

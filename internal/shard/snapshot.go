@@ -6,8 +6,8 @@ import (
 	"math"
 	"time"
 
-	"diacap/internal/core"
 	"diacap/internal/obs"
+	"diacap/internal/perfkit"
 )
 
 // ErrStaleEpoch reports a snapshot read that named an epoch other than
@@ -197,9 +197,11 @@ func (p *Plane) publishLocked(ctx context.Context) *Snapshot {
 		}
 	}
 	// Every shard's sub-instance holds the same server→server table.
-	ss := p.shards[0].in
-	snap.D = eccPairMax(ss, ecc)
-	snap.CertifiedD = eccPairMax(ss, bound)
+	// The pair scan sums as Evaluator.D does, so D is bit-identical to
+	// an unsharded evaluator over the same eccentricities.
+	ss := p.shards[0].in.FlatServerServer()
+	snap.D = perfkit.MaxPathEcc(ss, ecc)
+	snap.CertifiedD = perfkit.MaxPathEcc(ss, bound)
 	p.snap.Store(snap)
 	p.met.published(snap, time.Since(start).Seconds())
 	// Guarded so an uninstrumented publish skips building the attrs:
@@ -288,30 +290,6 @@ func (p *Plane) Health() []ShardHealth {
 		}
 	}
 	return out
-}
-
-// eccPairMax is the canonical eccentricity pair scan (the scalar form
-// of perfkit.MaxPathEcc, same association and comparison order): max
-// over used server pairs k ≤ l of ecc[k] + d(k,l) + ecc[l], d read from
-// in's server→server table. It is bit-identical to Evaluator.D over the
-// same eccentricities.
-func eccPairMax(in *core.Instance, ecc []float64) float64 {
-	var max float64
-	for k := range ecc {
-		if ecc[k] < 0 {
-			continue
-		}
-		row := in.ServerServerRow(k)
-		for l := k; l < len(ecc); l++ {
-			if ecc[l] < 0 {
-				continue
-			}
-			if v := ecc[k] + row[l] + ecc[l]; v > max {
-				max = v
-			}
-		}
-	}
-	return max
 }
 
 // CertGap returns the published certified-bound slack CertifiedD - D,
